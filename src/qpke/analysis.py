@@ -6,9 +6,15 @@ model replaces F(s) by a uniform k), so the resulting operators are exact
 up to floating point. Trace-distance bounds are then checked against the
 closed forms (sqrt(2)/2)^n, sqrt(1/2^(n-t+1)) and sqrt(1/2^(n-t-1)).
 
-Two independent routes exist for every ciphertext mixture: a direct formula
-over conjugate-coding symbols and an average of protocol-simulated states;
-they are compared entrywise whenever a mixture is built (small n).
+Every mixture is a uniform average of conjugate-coding product states
+Y_j H_k |i> over some index set. `kets` builds those states in one batch
+from a single-qubit table read off `qsym.GATE_ACTIONS`, and `ensemble` sums
+their projectors in one matrix product. The scheme-a ciphertext mixture has
+two routes through them: the formula kets H_w|v> (parity-b values v, all
+bases w) and the protocol kets Y_j H_k|i> (even i, parity-b masks j, all k);
+they are compared entrywise whenever a mixture is built (small n). The
+tests hold `kets` to the per-state qsym pipeline, bit for bit, as the
+independent oracle.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ import numpy as np
 
 from . import bits, qmat
 from .boolfn import generate_balanced_f2, generate_random
-from .qsym import ProductState
+from .qsym import Z0, Z1, QubitSymbol
 from .schemes import SchemeId
 
 __all__ = [
@@ -28,7 +34,6 @@ __all__ = [
     "CSV_HEADER",
     "reports_to_csv",
     "report_ok",
-    "conj_ket",
     "sigma_b",
     "sigma_bound_report",
     "cipher_mixture_A",
@@ -51,7 +56,6 @@ __all__ = [
 CSV_HEADER = "quantity,scheme,n,t,key_model,reuse,computed,bound,margin,seed"
 
 _H1 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_Y1 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _U_PI4 = np.array([[1, -1], [1, 1]], dtype=complex) * (np.sqrt(2) / 2)
 _I2 = np.eye(2, dtype=complex)
 
@@ -122,12 +126,33 @@ def reports_to_csv(reports, provenance: dict | None = None) -> str:
 # ---------------------------------------------------------------------------
 # Elementary states and ensembles.
 
-def conj_ket(value: int, basis: int) -> np.ndarray:
-    """H^basis X^value |0>: the four conjugate-coding signal states."""
-    vec = np.array([1.0, 0.0], dtype=complex)
-    if value:
-        vec = np.array([0.0, 1.0], dtype=complex)
-    return _H1 @ vec if basis else vec
+# Single-qubit kets Y^j H^k |i>, row 4i + 2k + j, read off the gate table.
+_QUBIT_KETS = np.array([
+    QubitSymbol(Z1 if i else Z0).apply("H" if k else "I").apply("Y" if j else "I").to_vector()
+    for i in (0, 1) for k in (0, 1) for j in (0, 1)])
+
+
+def kets(n: int, i, k=0, j=0) -> np.ndarray:
+    """One row Y_j H_k |i> per entry of the int arrays i, k, j, which must
+    broadcast together; qubit 0 is the most significant factor, and every
+    row equals ProductState.from_bits(i, n).apply_hk(k).apply_yj(j).to_vector()."""
+    qmat.check_dim(1 << n)
+    i, k, j = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (i, k, j)))
+
+    def factor(a: int) -> np.ndarray:
+        s = n - 1 - a
+        code = ((i >> s) & 1) << 2 | ((k >> s) & 1) << 1 | ((j >> s) & 1)
+        return _QUBIT_KETS[code.ravel()]
+
+    out = factor(0)
+    for a in range(1, n):
+        out = (out[:, :, None] * factor(a)[:, None, :]).reshape(len(out), -1)
+    return out
+
+
+def ensemble(vecs: np.ndarray, weight) -> np.ndarray:
+    """sum_r weight |v_r><v_r| over the rows v_r of vecs."""
+    return vecs.T @ (weight * vecs.conj())
 
 
 def identity_mixture(n: int) -> np.ndarray:
@@ -135,21 +160,17 @@ def identity_mixture(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mask_matrix(n: int, mask: int, which: str) -> np.ndarray:
-    """Dense H_k or Y_j on n qubits."""
-    one = _H1 if which == "h" else _Y1
+def _hk_dense(n: int, k: int) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for a in range(n):
-        out = np.kron(out, one if bits.bit_at(mask, a, n) else _I2)
+        out = np.kron(out, _H1 if bits.bit_at(k, a, n) else _I2)
     return out
 
 
 def hk_matrix(n: int, k: int) -> np.ndarray:
-    return _mask_matrix(n, k, "h")
-
-
-def yj_matrix(n: int, j: int) -> np.ndarray:
-    return _mask_matrix(n, j, "y")
+    """Dense H_k on n qubits."""
+    qmat.check_dim(1 << n)
+    return _hk_dense(n, k)
 
 
 def _parity_class(n: int, b: int):
@@ -160,11 +181,7 @@ def sigma_b(n: int, b: int) -> np.ndarray:
     """Uniform mixture of basis-only products |phi_{j_1}> ... |phi_{j_n}>
     (phi_0 = |0>, phi_1 = |+>) over the parity-b basis strings j."""
     qmat.check_dim(1 << n)
-    acc = np.zeros((1 << n, 1 << n), dtype=complex)
-    for j in _parity_class(n, b):
-        vec = qmat.kron_all([conj_ket(0, bits.bit_at(j, a, n)) for a in range(n)])
-        acc += np.outer(vec, vec.conj())
-    return acc / (1 << (n - 1))
+    return ensemble(kets(n, 0, _parity_class(n, b)), 1.0 / (1 << (n - 1)))
 
 
 def sigma_bound_report(n: int) -> SecurityReport:
@@ -178,35 +195,27 @@ def sigma_bound_report(n: int) -> SecurityReport:
 # Ciphertext mixtures.
 
 def _protocol_cipher_average(n: int, i_values, j_values) -> np.ndarray:
-    """Average of Y_j H_k |i> over all k and the given i and j sets, built by
-    running the symbolic protocol pipeline state by state."""
-    acc = np.zeros((1 << n, 1 << n), dtype=complex)
-    for k in range(1 << n):
-        for i in i_values:
-            base = ProductState.from_bits(i, n).apply_hk(k)
-            for j in j_values:
-                vec = base.apply_yj(j).to_vector()
-                acc += np.outer(vec, vec.conj())
-    return acc / (len(i_values) * len(j_values) * (1 << n))
+    """Average of Y_j H_k |i> over all k and the given i and j sets, one
+    batch of |i|*|j| kets per k."""
+    qmat.check_dim(1 << n)
+    i = np.asarray(i_values)[:, None]
+    weight = 1.0 / (len(i_values) * len(j_values) * (1 << n))
+    return sum(ensemble(kets(n, i, k, j_values), weight) for k in range(1 << n))
 
 
 def cipher_mixture_A(n: int, b: int, cross_check: bool | None = None) -> np.ndarray:
     """Ciphertext ensemble of the parity scheme for message bit b:
     (1/2^(2n-1)) sum over parity-b value strings v and all basis strings w of
-    the product of signal states psi_{v_a w_a}.
+    the product of signal states psi_{v_a w_a} = H^{w_a} |v_a>.
 
     With cross_check (default for n <= 5) the same operator is rebuilt by
     averaging protocol-simulated states over (k, i, j) and both routes must
     agree entrywise to 1e-10.
     """
     qmat.check_dim(1 << n)
-    acc = np.zeros((1 << n, 1 << n), dtype=complex)
-    for v in _parity_class(n, b):
-        for w in range(1 << n):
-            vec = qmat.kron_all(
-                [conj_ket(bits.bit_at(v, a, n), bits.bit_at(w, a, n)) for a in range(n)])
-            acc += np.outer(vec, vec.conj())
-    rho = acc / (1 << (2 * n - 1))
+    values = _parity_class(n, b)
+    weight = 1.0 / (1 << (2 * n - 1))
+    rho = sum(ensemble(kets(n, values, w), weight) for w in range(1 << n))
     if cross_check is None:
         cross_check = n <= 5
     if cross_check:
@@ -221,16 +230,18 @@ def cipher_mixture_A_sampled(n: int, b: int, num_samples: int,
                              rng: np.random.Generator) -> np.ndarray:
     """Finite-sample route: draw explicit ANF keys instead of averaging over
     a uniform k. Converges to cipher_mixture_A as samples grow."""
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
     m = 2 * n
-    acc = np.zeros((1 << n, 1 << n), dtype=complex)
+    kij = []
     for _ in range(num_samples):
         f = generate_random(m, n, rng)
         k = f.evaluate(bits.rand_bits(rng, m))
         i = bits.rand_parity_bits(rng, n, 0)
         j = bits.rand_parity_bits(rng, n, b)
-        vec = ProductState.from_bits(i, n).apply_hk(k).apply_yj(j).to_vector()
-        acc += np.outer(vec, vec.conj())
-    return acc / num_samples
+        kij.append((k, i, j))
+    k, i, j = np.array(kij).T
+    return ensemble(kets(n, i, k, j), 1.0 / num_samples)
 
 
 def cipher_mixture_uniform(scheme: SchemeId, n: int, message: int) -> np.ndarray:
@@ -238,7 +249,7 @@ def cipher_mixture_uniform(scheme: SchemeId, n: int, message: int) -> np.ndarray
     over all n-bit strings (b, m1, m2). Built by protocol enumeration; the
     closed form is the maximally mixed state."""
     scheme = SchemeId(scheme)
-    all_i = list(range(1 << n))
+    all_i = range(1 << n)
     if scheme == SchemeId.B:
         if message not in (0, 1):
             raise ValueError("scheme b carries one-bit messages")
@@ -255,24 +266,15 @@ def cipher_mixture_uniform(scheme: SchemeId, n: int, message: int) -> np.ndarray
 
 def pubkey_mixture_fixed_k(n: int, k: int) -> np.ndarray:
     """Average public-key state H_k |i><i| H_k over uniform i, k fixed."""
-    acc = np.zeros((1 << n, 1 << n), dtype=complex)
-    for i in range(1 << n):
-        vec = ProductState.from_bits(i, n).apply_hk(k).to_vector()
-        acc += np.outer(vec, vec.conj())
-    return acc / (1 << n)
+    qmat.check_dim(1 << n)
+    return ensemble(kets(n, np.arange(1 << n), k), 1.0 / (1 << n))
 
 
 def pubkey_mixture_A(n: int) -> SecurityReport:
     """How far the parity-restricted public-key ensemble sits from maximally
     mixed: D(avg over k of H_k (even-parity mixture) H_k, I/2^n). There is no
     closed-form target; the row is informational."""
-    acc = np.zeros((1 << n, 1 << n), dtype=complex)
-    evens = _parity_class(n, 0)
-    for k in range(1 << n):
-        for i in evens:
-            vec = ProductState.from_bits(i, n).apply_hk(k).to_vector()
-            acc += np.outer(vec, vec.conj())
-    rho = acc / (len(evens) * (1 << n))
+    rho = _protocol_cipher_average(n, _parity_class(n, 0), [0])
     d = qmat.trace_distance(rho, identity_mixture(n))
     return SecurityReport("pubkey_leakage", "a", n, None, "uniform_k", None, d, None)
 
@@ -281,10 +283,7 @@ def pubkey_mixture_B(n: int) -> SecurityReport:
     """Same computation with both parity sectors weighted equally (the
     balanced F2 makes the encoded value uniform); the ensemble collapses to
     I/2^n exactly."""
-    acc = np.zeros((1 << n, 1 << n), dtype=complex)
-    for k in range(1 << n):
-        acc += pubkey_mixture_fixed_k(n, k)
-    rho = acc / (1 << n)
+    rho = _protocol_cipher_average(n, range(1 << n), [0])
     d = qmat.trace_distance(rho, identity_mixture(n))
     return SecurityReport("pubkey_leakage", "b", n, None, "uniform_k", None,
                           d, 0.0, tol=1e-10)
@@ -378,24 +377,12 @@ class MixtureSpec:
 
 def _b_cipher_state(n: int, k: int, p: int, b: int) -> np.ndarray:
     """Scheme-b ciphertext mixture for fixed key material (k, p = F2(s))."""
-    diag = np.zeros(1 << n)
-    for i in _parity_class(n, p):
-        diag[i] = 1.0 / (1 << (n - 1))
-    hk = hk_matrix(n, k)
-    core = hk @ np.diag(diag).astype(complex) @ hk
-    acc = np.zeros_like(core)
-    for j in _parity_class(n, b):
-        yj = yj_matrix(n, j)
-        acc += yj @ core @ yj.conj().T
-    return acc / (1 << (n - 1))
+    i = np.asarray(_parity_class(n, p))[:, None]
+    return ensemble(kets(n, i, k, _parity_class(n, b)), 1.0 / (1 << (2 * n - 2)))
 
 
 def _b_pubkey_state(n: int, k: int, p: int) -> np.ndarray:
-    diag = np.zeros(1 << n)
-    for i in _parity_class(n, p):
-        diag[i] = 1.0 / (1 << (n - 1))
-    hk = hk_matrix(n, k)
-    return hk @ np.diag(diag).astype(complex) @ hk
+    return ensemble(kets(n, _parity_class(n, p), k), 1.0 / (1 << (n - 1)))
 
 
 def _joint_state(n: int, t: int, b: int, pairs_and_weights) -> np.ndarray:

@@ -301,12 +301,14 @@ def decrypt(sk: PrivateKey, ct: Ciphertext,
             raise ValueError("label was never issued by this private key")
         i = sk.pan10_table[s]
         k = _pan10_remap(sk.f.evaluate(s), n)
-        vec = ct.quantum.to_vector()
-        for b in (0, 1):
-            ref = TwoTermState(n, i, k, rel_phase=2 * b).to_vector()
-            if abs(abs(np.vdot(ref, vec)) - 1.0) < 1e-9:
-                return b
-        raise ValueError("ciphertext state does not match either phase branch")
+        # Branch b is (|i> + (-1)^b |i xor k>)/sqrt(2) up to a global phase: the
+        # same two terms with relative phase 2b. Swapping the terms negates
+        # the relative phase, which leaves 0 and 2 unchanged mod 4.
+        q = ct.quantum
+        if not (isinstance(q, TwoTermState) and q.n == n
+                and {q.i, q.i ^ q.k} == {i, i ^ k} and q.rel_phase % 2 == 0):
+            raise ValueError("ciphertext state does not match either phase branch")
+        return q.rel_phase // 2
     raise ValueError(f"unhandled scheme {sk.scheme}")
 
 
@@ -328,16 +330,12 @@ def _label_to_json(label, m: int | None):
     return bits.to_str(label, m) if m else f"{label:b}"
 
 
-def _label_from_json(obj, scheme: SchemeId):
+def _label_from_json(obj):
     if isinstance(obj, dict):
         return ProductState.from_json(obj)
     if isinstance(obj, list):
         return tuple(bits.from_str(s)[0] for s in obj)
     return bits.from_str(obj)[0]
-
-
-def _quantum_to_json(q) -> dict:
-    return q.to_json()
 
 
 def _quantum_to_json_opaque(q) -> dict:
@@ -360,14 +358,13 @@ def public_key_to_json(pk: PublicKey, seed: int | None = None) -> dict:
         "m": pk.m,
         "seed": seed,
         "label": _label_to_json(pk.label, pk.m),
-        "quantum": _quantum_to_json(pk.quantum),
+        "quantum": pk.quantum.to_json(),
     }
 
 
 def public_key_from_json(obj: dict) -> PublicKey:
-    scheme = SchemeId(obj["scheme"])
-    return PublicKey(scheme, obj["n"], obj["m"],
-                     _label_from_json(obj["label"], scheme),
+    return PublicKey(SchemeId(obj["scheme"]), obj["n"], obj["m"],
+                     _label_from_json(obj["label"]),
                      _quantum_from_json(obj["quantum"]))
 
 
@@ -378,14 +375,13 @@ def ciphertext_to_json(ct: Ciphertext, seed: int | None = None) -> dict:
         "m": ct.m,
         "seed": seed,
         "label": _label_to_json(ct.label, ct.m),
-        "quantum": _quantum_to_json(ct.quantum),
+        "quantum": ct.quantum.to_json(),
     }
 
 
 def ciphertext_from_json(obj: dict) -> Ciphertext:
-    scheme = SchemeId(obj["scheme"])
-    return Ciphertext(scheme, obj["n"], obj["m"],
-                      _label_from_json(obj["label"], scheme),
+    return Ciphertext(SchemeId(obj["scheme"]), obj["n"], obj["m"],
+                      _label_from_json(obj["label"]),
                       _quantum_from_json(obj["quantum"]))
 
 

@@ -17,7 +17,7 @@ from qpke.analysis import (MixtureSpec, SecurityReport, channel_e1, channel_e2,
                            pan10_rho_k, pubkey_mixture_A, pubkey_mixture_B,
                            report_ok, reports_to_csv, sigma_b,
                            sigma_bound_report)
-from qpke.qsym import TwoTermState
+from qpke.qsym import ProductState, TwoTermState
 from qpke.schemes import SchemeId
 
 SQ = np.sqrt(2) / 2
@@ -27,6 +27,33 @@ def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+# --- ket batches ------------------------------------------------------------
+
+def test_kets_match_per_state_qsym_pipeline():
+    # the per-state symbolic route is the independent oracle for the batch
+    for n in range(1, 5):
+        dim = 1 << n
+        i, k, j = (g.ravel() for g in np.meshgrid(*[np.arange(dim)] * 3, indexing="ij"))
+        rows = analysis.kets(n, i, k, j)
+        for row, ii, kk, jj in zip(rows, i, k, j):
+            ref = ProductState.from_bits(int(ii), n).apply_hk(int(kk)).apply_yj(int(jj))
+            assert np.array_equal(row, ref.to_vector())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sigma_b(5, 0),
+    lambda: cipher_mixture_A(5, 0),
+    lambda: cipher_mixture_uniform(SchemeId.B, 5, 0),
+    lambda: analysis.pubkey_mixture_fixed_k(5, 0),
+    lambda: analysis.hk_matrix(6, 63),
+], ids=["sigma_b", "cipher_mixture_A", "cipher_mixture_uniform",
+        "pubkey_mixture_fixed_k", "hk_matrix"])
+def test_dense_builders_honour_dim_cap(monkeypatch, build):
+    monkeypatch.setenv("QPKE_DIM_CAP", "16")
+    with pytest.raises(qmat.DimensionCapError):
+        build()
 
 
 # --- sigma mixtures ---------------------------------------------------------
@@ -105,6 +132,11 @@ def test_sampled_mixture_converges():
     dev_large = np.max(np.abs(cipher_mixture_A_sampled(2, 0, 10_000, rng) - exact))
     assert dev_large < dev_small
     assert dev_large < 0.05  # frozen: 0.033 at this seed
+
+
+def test_sampled_mixture_needs_samples():
+    with pytest.raises(ValueError, match="num_samples"):
+        cipher_mixture_A_sampled(2, 0, 0, np.random.default_rng(0))
 
 
 # --- public-key mixtures ----------------------------------------------------

@@ -174,6 +174,26 @@ def test_pan10_phase_flip_is_z_mask():
     assert decrypt(sk, ct) == 1
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_pan10_round_trip_large_n(n):
+    # decryption reads the phase symbolically, past the dense dimension cap
+    rng = np.random.default_rng(46)
+    for message in (0, 1):
+        sk, (pk,) = keygen(SchemeId.PAN10, n, rng)
+        assert decrypt(sk, encrypt(pk, message)) == message
+
+
+def test_pan10_decrypt_swapped_terms():
+    # (|i^k> + i^-r |i>) is (|i> + i^r |i^k>) up to a global phase
+    rng = np.random.default_rng(47)
+    for message in (0, 1):
+        sk, (pk,) = keygen(SchemeId.PAN10, 4, rng)
+        ct = encrypt(pk, message)
+        q = ct.quantum
+        swapped = TwoTermState(q.n, q.i ^ q.k, q.k, -q.rel_phase)
+        assert decrypt(sk, Ciphertext(SchemeId.PAN10, 4, sk.m, ct.label, swapped)) == message
+
+
 def test_decrypt_validation():
     rng = np.random.default_rng(41)
     sk_a, (pk_a,) = keygen(SchemeId.A, 3, rng)
