@@ -26,7 +26,7 @@ import numpy as np
 from . import bits, qmat
 from .boolfn import generate_balanced_f2, generate_random
 from .qsym import Z0, Z1, QubitSymbol
-from .schemes import SchemeId
+from .schemes import SCHEMES, SchemeId, message_width
 
 __all__ = [
     "SecurityReport",
@@ -249,16 +249,12 @@ def cipher_mixture_uniform(scheme: SchemeId, n: int, message: int) -> np.ndarray
     over all n-bit strings (b, m1, m2). Built by protocol enumeration; the
     closed form is the maximally mixed state."""
     scheme = SchemeId(scheme)
-    all_i = range(1 << n)
-    if scheme == SchemeId.B:
-        if message not in (0, 1):
-            raise ValueError("scheme b carries one-bit messages")
-        return _protocol_cipher_average(n, all_i, _parity_class(n, message))
-    if scheme in (SchemeId.M1, SchemeId.M2):
-        if not 0 <= message < (1 << n):
-            raise ValueError("message out of range")
-        return _protocol_cipher_average(n, all_i, [message])
-    raise ValueError(f"no uniform cipher mixture for scheme {scheme}")
+    if scheme not in (SchemeId.B, SchemeId.M1, SchemeId.M2):
+        raise ValueError(f"no uniform cipher mixture for scheme {scheme}")
+    if not 0 <= message < (1 << message_width(scheme, n)):
+        raise ValueError(f"message {message} out of range for scheme {scheme.value}")
+    masks = [message] if SCHEMES[scheme].wide else _parity_class(n, message)
+    return _protocol_cipher_average(n, range(1 << n), masks)
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +328,10 @@ def cipher_distance_report(scheme: SchemeId, n: int) -> SecurityReport:
                                 cipher_mixture_A(n, 1, cross_check=False))
         return SecurityReport("cipher_distance", "a", n, None, "uniform_k", None,
                               d, (np.sqrt(2) / 2) ** n, tol=1e-9)
-    if scheme == SchemeId.B:
-        d = qmat.trace_distance(cipher_mixture_uniform(scheme, n, 0),
-                                cipher_mixture_uniform(scheme, n, 1))
-    elif scheme in (SchemeId.M1, SchemeId.M2):
-        # Two fixed plaintexts; both ensembles are maximally mixed.
-        d = qmat.trace_distance(cipher_mixture_uniform(scheme, n, 0),
-                                cipher_mixture_uniform(scheme, n, (1 << n) - 1))
-    else:
-        raise ValueError(f"no cipher distance defined for scheme {scheme}")
+    # The two messages of b; two fixed plaintexts of m1/m2. All are maximally mixed.
+    last = (1 << message_width(scheme, n)) - 1
+    d = qmat.trace_distance(cipher_mixture_uniform(scheme, n, 0),
+                            cipher_mixture_uniform(scheme, n, last))
     return SecurityReport("cipher_distance", scheme.value, n, None, "uniform_k",
                           None, d, 0.0, tol=1e-10)
 

@@ -7,7 +7,7 @@ distinguishing) report empirical rates next to their analytic values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -30,16 +30,35 @@ __all__ = [
     "ciphertext_distinguisher",
 ]
 
-ATTACK_CSV_HEADER = "target,n,copies_used,success,seed"
+
+class _Outcome:
+    """One emitter for the outcome records: JSON is `dataclasses.asdict`,
+    and the CSV header and row both come from CSV_FIELDS."""
+
+    CSV_FIELDS: tuple[str, ...] = ()
+
+    @classmethod
+    def csv_header(cls) -> str:
+        return ",".join(cls.CSV_FIELDS)
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+    def to_csv_row(self) -> str:
+        cells = (getattr(self, name) for name in self.CSV_FIELDS)
+        return ",".join("" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
+                        for v in cells)
 
 
 @dataclass
-class AttackOutcome:
+class AttackOutcome(_Outcome):
     """Result of one key-recovery run.
 
     success requires a recovered key that is nonzero and orthogonal to every
     measured equation; both are checked at construction time.
     """
+
+    CSV_FIELDS = ("target", "n", "copies_used", "success", "seed")
 
     target: str
     n: int
@@ -58,25 +77,17 @@ class AttackOutcome:
                     raise ValueError("recovered key contradicts a measured equation")
 
     def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "n": self.n,
-            "success": self.success,
-            "copies_used": self.copies_used,
-            "recovered": None if self.recovered is None else bits.to_str(self.recovered, self.n),
-            "equations": [bits.to_str(y, self.n) for y in self.equations],
-            "seed": self.seed,
-        }
-
-    def to_csv_row(self) -> str:
-        seed = "" if self.seed is None else str(self.seed)
-        return f"{self.target},{self.n},{self.copies_used},{str(self.success).lower()},{seed}"
+        recovered = None if self.recovered is None else bits.to_str(self.recovered, self.n)
+        return {**asdict(self), "recovered": recovered,
+                "equations": [bits.to_str(y, self.n) for y in self.equations]}
 
 
 @dataclass(frozen=True)
-class DistinguisherOutcome:
+class DistinguisherOutcome(_Outcome):
     """Result of an indistinguishability game: empirical success rate of the
     optimal measurement against its analytic ceiling 1/2 + D/2."""
+
+    CSV_FIELDS = ("target", "n", "samples", "success", "seed")
 
     target: str
     scheme: str
@@ -88,22 +99,8 @@ class DistinguisherOutcome:
     success: bool
     seed: int | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "scheme": self.scheme,
-            "n": self.n,
-            "samples": self.samples,
-            "empirical": self.empirical,
-            "analytic": self.analytic,
-            "sigma": self.sigma,
-            "success": self.success,
-            "seed": self.seed,
-        }
 
-    def to_csv_row(self) -> str:
-        seed = "" if self.seed is None else str(self.seed)
-        return f"{self.target},{self.n},{self.samples},{str(self.success).lower()},{seed}"
+ATTACK_CSV_HEADER = AttackOutcome.csv_header()
 
 
 def pan10_shared_key_stream(n: int, rng: np.random.Generator, m: int | None = None):

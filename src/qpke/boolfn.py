@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 DEFAULT_BALANCE_ATTEMPTS = 10_000
+BALANCED_MAX_M = 20  # the balance check enumerates all 2^m inputs
 
 
 class GenerationError(RuntimeError):
@@ -154,8 +155,8 @@ def generate_balanced_f2(m: int, rng: np.random.Generator,
     Balance is verified exhaustively over all 2^m inputs, so m is limited
     to 20 variables.
     """
-    if m > 20:
-        raise ValueError("balance check enumerates 2^m inputs; m must be <= 20")
+    if m > BALANCED_MAX_M:
+        raise ValueError(f"balance check enumerates 2^m inputs; m must be <= {BALANCED_MAX_M}")
     target = 1 << (m - 1)
     for _ in range(max_attempts):
         coeffs = rng.integers(0, 2, size=1 << m, dtype=np.uint8)

@@ -35,15 +35,11 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _dump_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _dump_json(obj: dict, out: str | Path | None) -> None:
+    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(text: str, out: str | Path | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
@@ -65,14 +61,12 @@ def cmd_keygen(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     priv = schemes.private_key_to_json(sk, seed=args.seed)
     priv["version"] = __version__
-    priv_text = json.dumps(priv, indent=2, sort_keys=True) + "\n"
-    (outdir / "private.json").write_text(priv_text)
+    _dump_json(priv, outdir / "private.json")
     for idx, pk in enumerate(pks):
         pub = schemes.public_key_to_json(pk, seed=args.seed)
         pub["version"] = __version__
-        (outdir / f"pub_{idx:04d}.json").write_text(
-            json.dumps(pub, indent=2, sort_keys=True) + "\n")
-    digest = hashlib.sha256(priv_text.encode()).hexdigest()[:12]
+        _dump_json(pub, outdir / f"pub_{idx:04d}.json")
+    digest = hashlib.sha256((outdir / "private.json").read_bytes()).hexdigest()[:12]
     print(f"scheme={sk.scheme.value} n={sk.n} m={sk.m} count={len(pks)} "
           f"seed={args.seed} private_fingerprint={digest}")
     return 0
@@ -116,50 +110,46 @@ def cmd_roundtrip(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-ANALYZE_TARGETS = (
-    "sigma-bound",
-    "channel-identity",
-    "scheme-a-cipher",
-    "scheme-b-cipher",
-    "scheme-m1-cipher",
-    "scheme-m2-cipher",
-    "pubkey-leakage",
-    "multicopy",
-    "pan10-bounds",
-)
+def _cipher(scheme: SchemeId):
+    return lambda n, ts, opts, rng: [analysis.cipher_distance_report(scheme, n)]
 
 
-def _analyze_target(target: str, ns: list[int], ts: list[int], args,
-                    rng: np.random.Generator) -> list[SecurityReport]:
-    reports: list[SecurityReport] = []
-    for n in ns:
-        if target == "sigma-bound":
-            reports.append(analysis.sigma_bound_report(n))
-        elif target == "channel-identity":
-            reports.append(analysis.channel_identity_report(n))
-        elif target == "scheme-a-cipher":
-            reports.append(analysis.cipher_distance_report(SchemeId.A, n))
-        elif target == "scheme-b-cipher":
-            reports.append(analysis.cipher_distance_report(SchemeId.B, n))
-        elif target == "scheme-m1-cipher":
-            reports.append(analysis.cipher_distance_report(SchemeId.M1, n))
-        elif target == "scheme-m2-cipher":
-            reports.append(analysis.cipher_distance_report(SchemeId.M2, n))
-        elif target == "pubkey-leakage":
-            reports.append(analysis.pubkey_mixture_A(n))
-            reports.append(analysis.pubkey_mixture_B(n))
-        elif target == "multicopy":
-            for t in ts:
-                spec = MixtureSpec(SchemeId.B, n, t, key_model=args.key_model,
-                                   reuse=args.reuse, anf_samples=args.samples,
-                                   seed=args.seed)
-                reports.append(analysis.multicopy_distance(spec, rng))
-        elif target == "pan10-bounds":
-            for t in ts:
-                reports.extend(analysis.pan10_mixture_distance(n, t))
-        else:
-            raise SystemExit(f"unknown analyze target {target!r}")
-    return reports
+def _multicopy(n, ts, opts, rng):
+    return [analysis.multicopy_distance(
+        MixtureSpec(SchemeId.B, n, t, key_model=opts.key_model, reuse=opts.reuse,
+                    anf_samples=opts.samples, seed=opts.seed), rng) for t in ts]
+
+
+def _points(ns, ts=(1,), **opts):
+    return [(n, ts, opts) for n in ns]
+
+
+# The analysis rows' options when not given, in `analyze` and in every sweep point.
+ROW_DEFAULTS = {"key_model": "uniform_k", "reuse": "fresh_s", "samples": 0}
+
+# Analysis target -> (rows(n, ts, opts, rng) for one n and the copy counts ts,
+# the sweep's points (n, ts, options over the analyze defaults)). Rows look
+# their analysis function up at call time, so a wrapper installed on the
+# module sees every call.
+TARGETS = {
+    "sigma-bound": (lambda n, ts, opts, rng: [analysis.sigma_bound_report(n)],
+                    _points(range(1, 9))),
+    "channel-identity": (lambda n, ts, opts, rng: [analysis.channel_identity_report(n)],
+                         _points(range(1, 6))),
+    "scheme-a-cipher": (_cipher(SchemeId.A), _points(range(1, 7))),
+    "scheme-b-cipher": (_cipher(SchemeId.B), _points(range(2, 6))),
+    "scheme-m1-cipher": (_cipher(SchemeId.M1), _points(range(2, 6))),
+    "scheme-m2-cipher": (_cipher(SchemeId.M2), _points(range(2, 6))),
+    "pubkey-leakage": (lambda n, ts, opts, rng: [analysis.pubkey_mixture_A(n),
+                                                 analysis.pubkey_mixture_B(n)],
+                       _points(range(1, 6))),
+    "multicopy": (_multicopy, [point for n, t in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
+                               for reuse in ("fresh_s", "shared_s")
+                               for point in _points((n,), (t,), reuse=reuse)]),
+    "pan10-bounds": (lambda n, ts, opts, rng: [r for t in ts
+                                               for r in analysis.pan10_mixture_distance(n, t)],
+                     [(n, tuple(t for t in (1, 2) if n * t <= 10), {}) for n in range(3, 7)]),
+}
 
 
 def _emit_reports(reports: list[SecurityReport], args, config: dict) -> int:
@@ -168,11 +158,8 @@ def _emit_reports(reports: list[SecurityReport], args, config: dict) -> int:
                 "config": json.dumps(config, sort_keys=True)}
         _write_text(analysis.reports_to_csv(reports, prov), args.out)
     else:
-        rows = [{
-            "quantity": r.quantity, "scheme": r.scheme, "n": r.n, "t": r.t,
-            "key_model": r.key_model, "reuse": r.reuse, "computed": r.computed,
-            "bound": r.bound, "margin": r.margin, "seed": r.seed,
-        } for r in reports]
+        fields = analysis.CSV_HEADER.split(",")
+        rows = [{name: getattr(r, name) for name in fields} for r in reports]
         _dump_json({**_provenance(args, **config), "reports": rows}, args.out)
     bad = [r for r in reports if not analysis.report_ok(r)]
     for r in bad:
@@ -183,44 +170,28 @@ def _emit_reports(reports: list[SecurityReport], args, config: dict) -> int:
 
 def cmd_analyze(args) -> int:
     rng = _rng(args.seed)
-    ns = _parse_range(args.n)
-    ts = _parse_range(args.t)
-    reports = _analyze_target(args.target, ns, ts, args, rng)
+    ns, ts = _parse_range(args.n), _parse_range(args.t)
+    reports = [r for n in ns for r in TARGETS[args.target][0](n, ts, args, rng)]
     config = {"target": args.target, "n": args.n, "t": args.t,
               "key_model": args.key_model, "reuse": args.reuse}
     return _emit_reports(reports, args, config)
 
 
 def cmd_sweep(args) -> int:
-    """The full default battery over the standard parameter grid."""
+    """The full default battery: every target's sweep points, in TARGETS order."""
     rng = _rng(args.seed)
-    reports: list[SecurityReport] = []
-    for n in range(1, 9):
-        reports.append(analysis.sigma_bound_report(n))
-    for n in range(1, 6):
-        reports.append(analysis.channel_identity_report(n))
-    for n in range(1, 7):
-        reports.append(analysis.cipher_distance_report(SchemeId.A, n))
-    for scheme in (SchemeId.B, SchemeId.M1, SchemeId.M2):
-        for n in range(2, 6):
-            reports.append(analysis.cipher_distance_report(scheme, n))
-    for n in range(1, 6):
-        reports.append(analysis.pubkey_mixture_A(n))
-        reports.append(analysis.pubkey_mixture_B(n))
-    for n, t in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
-        for reuse in ("fresh_s", "shared_s"):
-            spec = MixtureSpec(SchemeId.B, n, t, reuse=reuse, seed=args.seed)
-            reports.append(analysis.multicopy_distance(spec, rng))
-    for n in range(3, 7):
-        for t in (1, 2):
-            if n * t <= 10:
-                reports.extend(analysis.pan10_mixture_distance(n, t))
+    reports = [r for rows, points in TARGETS.values() for n, ts, opts in points
+               for r in rows(n, ts, argparse.Namespace(**{**vars(args), **opts}), rng)]
     return _emit_reports(reports, args, {"target": "sweep"})
 
 
 # ---------------------------------------------------------------------------
 
 ATTACK_TARGETS = ("pan10-key", "owt-baseline", "distinguish")
+
+
+def _outcomes_csv(outcomes) -> str:
+    return "\n".join([outcomes[0].csv_header(), *(o.to_csv_row() for o in outcomes)]) + "\n"
 
 
 def cmd_attack(args) -> int:
@@ -235,9 +206,7 @@ def cmd_attack(args) -> int:
         rate = sum(o.success for o in outcomes) / len(outcomes)
         mean_copies = sum(o.copies_used for o in outcomes) / len(outcomes)
         if args.format == "csv":
-            text = attacks.ATTACK_CSV_HEADER + "\n" + \
-                "\n".join(o.to_csv_row() for o in outcomes) + "\n"
-            _write_text(text, args.out)
+            _write_text(_outcomes_csv(outcomes), args.out)
         else:
             _dump_json({**_provenance(args, target=args.target, n=args.n,
                                       runs=args.runs, max_copies=max_copies),
@@ -248,6 +217,8 @@ def cmd_attack(args) -> int:
         return 0 if rate >= 0.99 else 1
 
     if args.target == "owt-baseline":
+        if args.format == "csv":
+            raise SystemExit("attack --target owt-baseline has no CSV form; use --format json")
         try:
             rate = attacks.owt_inversion_baseline(args.n, args.samples, rng)
         except AssertionError as exc:
@@ -259,19 +230,16 @@ def cmd_attack(args) -> int:
                     "rate": rate, "expected": expected}, args.out)
         return 0
 
-    if args.target == "distinguish":
-        outcome = attacks.ciphertext_distinguisher(SchemeId(args.scheme), args.n,
-                                                   args.samples, rng, seed=args.seed)
-        if args.format == "csv":
-            text = attacks.ATTACK_CSV_HEADER + "\n" + outcome.to_csv_row() + "\n"
-            _write_text(text, args.out)
-        else:
-            _dump_json({**_provenance(args, target=args.target, n=args.n,
-                                      scheme=args.scheme, samples=args.samples),
-                        **outcome.to_json()}, args.out)
-        return 0 if outcome.success else 1
-
-    raise SystemExit(f"unknown attack target {args.target!r}")
+    # distinguish
+    outcome = attacks.ciphertext_distinguisher(SchemeId(args.scheme), args.n,
+                                               args.samples, rng, seed=args.seed)
+    if args.format == "csv":
+        _write_text(_outcomes_csv([outcome]), args.out)
+    else:
+        _dump_json({**_provenance(args, target=args.target, n=args.n,
+                                  scheme=args.scheme, samples=args.samples),
+                    **outcome.to_json()}, args.out)
+    return 0 if outcome.success else 1
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("analyze", help="compute security quantities and check bounds")
-    p.add_argument("--target", required=True, choices=ANALYZE_TARGETS)
+    p.add_argument("--target", required=True, choices=tuple(TARGETS))
     p.add_argument("--n", required=True, help="value or range, e.g. 3 or 1..8")
     p.add_argument("--t", default="1", help="copy count or range (multicopy, pan10)")
-    p.add_argument("--key-model", dest="key_model",
-                   choices=("uniform_k", "sampled_anf"), default="uniform_k")
-    p.add_argument("--reuse", choices=("fresh_s", "shared_s"), default="fresh_s")
-    p.add_argument("--samples", type=int, default=0, help="ANF sample count")
+    p.add_argument("--key-model", dest="key_model", choices=("uniform_k", "sampled_anf"))
+    p.add_argument("--reuse", choices=("fresh_s", "shared_s"))
+    p.add_argument("--samples", type=int, help="ANF sample count")
     common(p, out_default=None)
-    p.set_defaults(func=cmd_analyze, format="csv")
+    p.set_defaults(func=cmd_analyze, format="csv", **ROW_DEFAULTS)
 
     p = sub.add_parser("attack", help="run an attack or baseline")
     p.add_argument("--target", required=True, choices=ATTACK_TARGETS)
@@ -339,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="full default analysis battery")
     common(p, out_default=None)
-    p.set_defaults(func=cmd_sweep, format="csv")
+    p.set_defaults(func=cmd_sweep, format="csv", **ROW_DEFAULTS)
     return parser
 
 

@@ -1,10 +1,17 @@
 """The six conjugate-coding public-key encryption protocols.
 
-Common shape: the private key is a random Boolean function F (plus scheme
-specific extras); a public key is a classical label (an input s of F, except
-where the label itself is quantum) together with a quantum state derived
-from k = F(s). Encryption applies a Pauli-style mask to the quantum part,
-decryption recomputes k from the label and undoes the conjugation.
+Every scheme has one shape. The private key is a random Boolean function F
+plus scheme specific extras; a public key is a label carrying an input s of
+F together with the state H_k|i> for k = F(s). Encryption masks the state
+with Y_j, and decryption undoes H_k, measures and XORs off what the key
+knows about i. pan10 differs only in its two-term state and its Z mask.
+
+A scheme is one row of `SCHEMES`: its private-key fields in draw order,
+whether messages are n bits wide, and the shape of its label. `keygen`,
+`message_width` and the JSON loaders read that row; `_basis_key` and
+`_offset` hold the key material that issuing and decryption share. The
+loaders reject malformed key and ciphertext JSON with a ValueError that
+names the offending field.
 
 Scheme ids:
   a      one-bit messages, i restricted to even parity
@@ -22,11 +29,13 @@ from enum import Enum
 import numpy as np
 
 from . import bits
-from .boolfn import AnfFunction, GenerationError, generate_balanced_f2, generate_random
+from .boolfn import (BALANCED_MAX_M, AnfFunction, GenerationError, generate_balanced_f2,
+                     generate_random)
 from .qsym import ProductState, TwoTermState
 
 __all__ = [
     "SchemeId",
+    "SCHEMES",
     "PrivateKey",
     "PublicKey",
     "Ciphertext",
@@ -57,6 +66,32 @@ class SchemeId(str, Enum):
     M2 = "m2"
     ENH = "enh"
     PAN10 = "pan10"
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """keys: private-key fields in draw order; wide: messages are n bits;
+    label: "bits" (s), "pair" (s1, s2) or "qubits" (s in the bases l)."""
+
+    keys: tuple[str, ...]
+    wide: bool
+    label: str
+
+    @property
+    def parity(self) -> bool:
+        """A balanced one-bit F2(s) carries the parity of i (b, enh)."""
+        return "f2" in self.keys and not self.wide
+
+
+SCHEMES = {
+    SchemeId.A: SchemeSpec(("f",), False, "bits"),
+    SchemeId.B: SchemeSpec(("f1", "f2"), False, "bits"),
+    SchemeId.M1: SchemeSpec(("f",), True, "pair"),
+    SchemeId.M2: SchemeSpec(("f1", "f2"), True, "bits"),
+    SchemeId.ENH: SchemeSpec(("f1", "f2", "l"), False, "qubits"),
+    SchemeId.PAN10: SchemeSpec(("f",), False, "bits"),
+}
+KEY_FIELDS = ("f", "f1", "f2", "l")
 
 
 class PublicKeyConsumedError(RuntimeError):
@@ -119,12 +154,11 @@ class AdversaryView:
 
 def message_width(scheme: SchemeId, n: int) -> int:
     """Plaintext width in bits: n for m1/m2, one bit otherwise."""
-    return n if scheme in (SchemeId.M1, SchemeId.M2) else 1
+    return n if SCHEMES[SchemeId(scheme)].wide else 1
 
 
-def _pan10_remap(k_raw: int, n: int) -> int:
-    """Force an n-bit string to odd Hamming weight by flipping the last bit
-    when needed; odd weight guarantees k != 0."""
+def _pan10_remap(k_raw: int) -> int:
+    """Flip the last bit of an even-weight string; odd weight makes k != 0."""
     return k_raw if bits.parity(k_raw) else k_raw ^ 1
 
 
@@ -141,74 +175,77 @@ def keygen(scheme: SchemeId, n: int, rng: np.random.Generator,
            m: int | None = None, count: int = 1) -> tuple[PrivateKey, list[PublicKey]]:
     """Draw a private key and issue `count` public keys, each with a fresh s."""
     scheme = SchemeId(scheme)
+    spec = SCHEMES[scheme]
     if n < 1:
         raise ValueError("n must be >= 1")
     if m is None:
         m = 2 * n
     if m <= n:
         raise ValueError(f"m must exceed n, got m={m}, n={n}")
-    if scheme in (SchemeId.A, SchemeId.M1, SchemeId.PAN10):
-        sk = PrivateKey(scheme, n, m, f=generate_random(m, n, rng))
-    elif scheme == SchemeId.B:
-        sk = PrivateKey(scheme, n, m, f1=generate_random(m, n, rng),
-                        f2=generate_balanced_f2(m, rng))
-    elif scheme == SchemeId.M2:
-        sk = PrivateKey(scheme, n, m, f1=generate_random(m, n, rng),
-                        f2=generate_random(m, n, rng))
-    elif scheme == SchemeId.ENH:
-        sk = PrivateKey(scheme, n, m, f1=generate_random(m, n, rng),
-                        f2=generate_balanced_f2(m, rng), l=bits.rand_bits(rng, m))
-    else:
-        raise ValueError(f"unhandled scheme {scheme}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if spec.parity and m > BALANCED_MAX_M:
+        raise ValueError(f"scheme {scheme.value} checks its balanced F2 on all 2^m inputs, "
+                         f"so m must be <= {BALANCED_MAX_M}, got m={m}; pass a smaller m")
+    fields = {}
+    for name in spec.keys:
+        if name == "l":
+            fields[name] = bits.rand_bits(rng, m)
+        elif name == "f2" and spec.parity:
+            fields[name] = generate_balanced_f2(m, rng)
+        else:
+            fields[name] = generate_random(m, n, rng)
+    sk = PrivateKey(scheme, n, m, **fields)
     return sk, issue_public_keys(sk, count, rng)
 
 
-def _encode_label_qubits(s: int, l: int, m: int) -> ProductState:
-    """|s_a> in the computational basis where l_a = 0, Hadamard where l_a = 1."""
-    state = ProductState.from_bits(s, m)
-    return state.apply_mask("H", l)
+def _basis_key(sk: PrivateKey, s) -> int:
+    """k = F(s): F1 where the key has two functions, the first label of m1,
+    forced to odd weight for pan10."""
+    if sk.scheme == SchemeId.M1:
+        s = s[0]
+    k = (sk.f1 if sk.f is None else sk.f).evaluate(s)
+    return _pan10_remap(k) if sk.scheme == SchemeId.PAN10 else k
+
+
+def _offset(sk: PrivateKey, s) -> int:
+    """What decryption XORs off the measured string: 0 for a, the parity
+    F2(s) of i for b and enh, the encoded i itself otherwise."""
+    if sk.scheme == SchemeId.M1:
+        return sk.f.evaluate(s[1])
+    if sk.scheme == SchemeId.PAN10:
+        if s not in sk.pan10_table:
+            raise ValueError("label was never issued by this private key")
+        return sk.pan10_table[s]
+    return 0 if sk.f2 is None else sk.f2.evaluate(s)
 
 
 def issue_public_keys(sk: PrivateKey, count: int,
                       rng: np.random.Generator) -> list[PublicKey]:
     """Issue further single-use public keys from an existing private key."""
+    spec = SCHEMES[sk.scheme]
     n, m = sk.n, sk.m
     out = []
     for _ in range(count):
-        if sk.scheme == SchemeId.A:
-            s = bits.rand_bits(rng, m)
-            k = sk.f.evaluate(s)
-            i = bits.rand_parity_bits(rng, n, 0)
-            label, quantum = s, ProductState.from_bits(i, n).apply_hk(k)
-        elif sk.scheme == SchemeId.B:
+        if spec.parity:
             i = bits.rand_bits(rng, n)
             s = _sample_s_matching_parity(sk.f2, bits.parity(i), rng)
-            k = sk.f1.evaluate(s)
-            label, quantum = s, ProductState.from_bits(i, n).apply_hk(k)
-        elif sk.scheme == SchemeId.M1:
-            s1 = bits.rand_bits(rng, m)
-            s2 = bits.rand_bits(rng, m)
-            k, i = sk.f.evaluate(s1), sk.f.evaluate(s2)
-            label, quantum = (s1, s2), ProductState.from_bits(i, n).apply_hk(k)
-        elif sk.scheme == SchemeId.M2:
-            s = bits.rand_bits(rng, m)
-            k, i = sk.f1.evaluate(s), sk.f2.evaluate(s)
-            label, quantum = s, ProductState.from_bits(i, n).apply_hk(k)
-        elif sk.scheme == SchemeId.ENH:
-            i = bits.rand_bits(rng, n)
-            s = _sample_s_matching_parity(sk.f2, bits.parity(i), rng)
-            k = sk.f1.evaluate(s)
-            label = _encode_label_qubits(s, sk.l, m)
-            quantum = ProductState.from_bits(i, n).apply_hk(k)
-        elif sk.scheme == SchemeId.PAN10:
-            s = bits.rand_bits(rng, m)
-            k = _pan10_remap(sk.f.evaluate(s), n)
-            if s not in sk.pan10_table:
-                sk.pan10_table[s] = bits.rand_bits(rng, n)
-            i = sk.pan10_table[s]
-            label, quantum = s, TwoTermState(n, i, k)
+        elif spec.label == "pair":
+            s = (bits.rand_bits(rng, m), bits.rand_bits(rng, m))
         else:
-            raise ValueError(f"unhandled scheme {sk.scheme}")
+            s = bits.rand_bits(rng, m)
+        # Issuing evaluates k only: F2(s) of b/enh is already fixed by i.
+        k = _basis_key(sk, s)
+        if sk.scheme == SchemeId.A:
+            i = bits.rand_parity_bits(rng, n, 0)
+        elif not spec.parity:
+            if sk.scheme == SchemeId.PAN10 and s not in sk.pan10_table:
+                sk.pan10_table[s] = bits.rand_bits(rng, n)
+            i = _offset(sk, s)
+        # enh: |s_a> in the computational basis where l_a = 0, Hadamard where l_a = 1.
+        label = ProductState.from_bits(s, m).apply_mask("H", sk.l) if spec.label == "qubits" else s
+        quantum = (TwoTermState(n, i, k) if sk.scheme == SchemeId.PAN10
+                   else ProductState.from_bits(i, n).apply_hk(k))
         out.append(PublicKey(sk.scheme, n, m, label, quantum))
     return out
 
@@ -234,7 +271,15 @@ def encrypt(pk: PublicKey, message: int, rng: np.random.Generator | None = None,
     if not 0 <= message < (1 << width):
         raise ValueError(f"message {message} out of range for width {width}")
 
-    if pk.scheme in (SchemeId.A, SchemeId.B, SchemeId.ENH):
+    if pk.scheme == SchemeId.PAN10:
+        if j is not None:
+            raise ValueError("pan10 encryption takes no mask argument")
+        quantum = pk.quantum.apply_zall() if message else pk.quantum
+    elif SCHEMES[pk.scheme].wide:
+        if j is not None and j != message:
+            raise ValueError("for n-bit schemes the message itself is the mask")
+        quantum = pk.quantum.apply_yj(message)
+    else:
         if j is None:
             if rng is None:
                 raise ValueError("need an rng to draw the mask j")
@@ -242,24 +287,8 @@ def encrypt(pk: PublicKey, message: int, rng: np.random.Generator | None = None,
         elif bits.parity(j) != message:
             raise ValueError("forced j has the wrong parity for this message")
         quantum = pk.quantum.apply_yj(j)
-    elif pk.scheme in (SchemeId.M1, SchemeId.M2):
-        if j is not None and j != message:
-            raise ValueError("for n-bit schemes the message itself is the mask")
-        quantum = pk.quantum.apply_yj(message)
-    elif pk.scheme == SchemeId.PAN10:
-        if j is not None:
-            raise ValueError("pan10 encryption takes no mask argument")
-        quantum = pk.quantum.apply_zall() if message else pk.quantum
-    else:
-        raise ValueError(f"unhandled scheme {pk.scheme}")
     pk.consumed = True
     return Ciphertext(pk.scheme, n, pk.m, pk.label, quantum)
-
-
-def _recover_enh_s(sk: PrivateKey, label: ProductState) -> int:
-    # Measuring each label qubit in the basis it was encoded in is the same
-    # as applying H wherever l has a 1 and reading out computationally.
-    return label.apply_mask("H", sk.l).measure_computational()
 
 
 def decrypt(sk: PrivateKey, ct: Ciphertext,
@@ -269,47 +298,27 @@ def decrypt(sk: PrivateKey, ct: Ciphertext,
     The optional rng is only consulted if a measurement outcome is genuinely
     random, which cannot happen when key material and ciphertext agree.
     """
-    if ct.scheme != sk.scheme or ct.n != sk.n:
-        raise ValueError("ciphertext does not match this private key")
-    n = sk.n
-
-    if sk.scheme == SchemeId.A:
-        k = sk.f.evaluate(ct.label)
-        meas = ct.quantum.apply_hk(k).measure_computational(rng)
-        return bits.parity(meas)
-    if sk.scheme == SchemeId.B:
-        k, p = sk.f1.evaluate(ct.label), sk.f2.evaluate(ct.label)
-        meas = ct.quantum.apply_hk(k).measure_computational(rng)
-        return bits.parity(meas) ^ p
-    if sk.scheme == SchemeId.M1:
-        s1, s2 = ct.label
-        k, i = sk.f.evaluate(s1), sk.f.evaluate(s2)
-        meas = ct.quantum.apply_hk(k).measure_computational(rng)
-        return meas ^ i
-    if sk.scheme == SchemeId.M2:
-        k, i = sk.f1.evaluate(ct.label), sk.f2.evaluate(ct.label)
-        meas = ct.quantum.apply_hk(k).measure_computational(rng)
-        return meas ^ i
-    if sk.scheme == SchemeId.ENH:
-        s = _recover_enh_s(sk, ct.label)
-        k, p = sk.f1.evaluate(s), sk.f2.evaluate(s)
-        meas = ct.quantum.apply_hk(k).measure_computational(rng)
-        return bits.parity(meas) ^ p
+    for name, theirs, mine in (("scheme", ct.scheme, sk.scheme), ("n", ct.n, sk.n),
+                               ("m", ct.m, sk.m), ("quantum", ct.quantum.n, sk.n)):
+        if theirs != mine:
+            raise ValueError(f"{name}: ciphertext has {theirs!r}, private key {mine!r}")
+    spec, s = SCHEMES[sk.scheme], ct.label
+    if spec.label == "qubits":
+        # Measuring each label qubit in the basis it was encoded in is the
+        # same as applying H wherever l has a 1 and reading out computationally.
+        s = s.apply_mask("H", sk.l).measure_computational()
+    k, offset = _basis_key(sk, s), _offset(sk, s)
+    q = ct.quantum
     if sk.scheme == SchemeId.PAN10:
-        s = ct.label
-        if s not in sk.pan10_table:
-            raise ValueError("label was never issued by this private key")
-        i = sk.pan10_table[s]
-        k = _pan10_remap(sk.f.evaluate(s), n)
         # Branch b is (|i> + (-1)^b |i xor k>)/sqrt(2) up to a global phase: the
         # same two terms with relative phase 2b. Swapping the terms negates
         # the relative phase, which leaves 0 and 2 unchanged mod 4.
-        q = ct.quantum
-        if not (isinstance(q, TwoTermState) and q.n == n
-                and {q.i, q.i ^ q.k} == {i, i ^ k} and q.rel_phase % 2 == 0):
+        if not (isinstance(q, TwoTermState) and {q.i, q.i ^ q.k} == {offset, offset ^ k}
+                and q.rel_phase % 2 == 0):
             raise ValueError("ciphertext state does not match either phase branch")
         return q.rel_phase // 2
-    raise ValueError(f"unhandled scheme {sk.scheme}")
+    out = q.apply_hk(k).measure_computational(rng) ^ offset
+    return out if spec.wide else bits.parity(out)
 
 
 def adversary_view(obj: PublicKey | Ciphertext) -> AdversaryView:
@@ -320,7 +329,8 @@ def adversary_view(obj: PublicKey | Ciphertext) -> AdversaryView:
 # ---------------------------------------------------------------------------
 # JSON forms. Key owners serialize full records; adversary views replace the
 # two-term record with an unlabeled term pair so no field is literally named
-# after private data.
+# after private data. The loaders check every field against the scheme's row
+# of SCHEMES, and each rejection is a ValueError that names its field.
 
 def _label_to_json(label, m: int | None):
     if isinstance(label, ProductState):
@@ -330,14 +340,6 @@ def _label_to_json(label, m: int | None):
     return bits.to_str(label, m) if m else f"{label:b}"
 
 
-def _label_from_json(obj):
-    if isinstance(obj, dict):
-        return ProductState.from_json(obj)
-    if isinstance(obj, list):
-        return tuple(bits.from_str(s)[0] for s in obj)
-    return bits.from_str(obj)[0]
-
-
 def _quantum_to_json_opaque(q) -> dict:
     if isinstance(q, TwoTermState):
         terms = sorted((bits.to_str(q.i, q.n), bits.to_str(q.i ^ q.k, q.n)))
@@ -345,10 +347,48 @@ def _quantum_to_json_opaque(q) -> dict:
     return q.to_json()
 
 
-def _quantum_from_json(obj: dict):
-    if "qubits" in obj:
-        return ProductState.from_json(obj)
-    return TwoTermState.from_json(obj)
+def _parse(name: str, what: str, parse, obj):
+    """parse(obj), with any failure turned into a ValueError naming the field."""
+    try:
+        return parse(obj)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: expected {what} ({type(exc).__name__}: {exc})") from None
+
+
+def _bitstring(text, width: int, name: str) -> int:
+    if not (isinstance(text, str) and len(text) == width and set(text) <= {"0", "1"}):
+        raise ValueError(f"{name}: expected a {width}-bit string, got {text!r}")
+    return int(text, 2)
+
+
+def _header(obj: dict) -> tuple[SchemeId, int, int]:
+    """The scheme, n and m of a JSON record, checked: integers, 1 <= n < m."""
+    scheme = _parse("scheme", "a scheme id", SchemeId, obj.get("scheme"))
+    n, m = obj.get("n"), obj.get("m")
+    if not (type(n) is int and type(m) is int and 1 <= n < m):
+        raise ValueError(f"n, m: expected integers with 1 <= n < m, got n={n!r}, m={m!r}")
+    return scheme, n, m
+
+
+def _record_from_json(obj: dict) -> tuple:
+    """(scheme, n, m, label, quantum) of a public-key or ciphertext record."""
+    scheme, n, m = _header(obj)
+    kind, label = SCHEMES[scheme].label, obj.get("label")
+    if kind == "qubits":
+        label = _parse("label", f"{m} qubits", ProductState.from_json, label)
+        if label.n != m:
+            raise ValueError(f"label: expected {m} qubits, got {label.n}")
+    elif kind == "pair":
+        if not (isinstance(label, list) and len(label) == 2):
+            raise ValueError(f"label: expected a pair of {m}-bit strings, got {label!r}")
+        label = tuple(_bitstring(s, m, "label") for s in label)
+    else:
+        label = _bitstring(label, m, "label")
+    cls = TwoTermState if scheme == SchemeId.PAN10 else ProductState
+    quantum = _parse("quantum", f"a {cls.__name__}", cls.from_json, obj.get("quantum"))
+    if quantum.n != n:
+        raise ValueError(f"quantum: expected {n} qubits, got {quantum.n}")
+    return scheme, n, m, label, quantum
 
 
 def public_key_to_json(pk: PublicKey, seed: int | None = None) -> dict:
@@ -363,9 +403,7 @@ def public_key_to_json(pk: PublicKey, seed: int | None = None) -> dict:
 
 
 def public_key_from_json(obj: dict) -> PublicKey:
-    return PublicKey(SchemeId(obj["scheme"]), obj["n"], obj["m"],
-                     _label_from_json(obj["label"]),
-                     _quantum_from_json(obj["quantum"]))
+    return PublicKey(*_record_from_json(obj))
 
 
 def ciphertext_to_json(ct: Ciphertext, seed: int | None = None) -> dict:
@@ -380,21 +418,15 @@ def ciphertext_to_json(ct: Ciphertext, seed: int | None = None) -> dict:
 
 
 def ciphertext_from_json(obj: dict) -> Ciphertext:
-    return Ciphertext(SchemeId(obj["scheme"]), obj["n"], obj["m"],
-                      _label_from_json(obj["label"]),
-                      _quantum_from_json(obj["quantum"]))
+    return Ciphertext(*_record_from_json(obj))
 
 
 def private_key_to_json(sk: PrivateKey, seed: int | None = None) -> dict:
     out: dict = {"scheme": sk.scheme.value, "n": sk.n, "m": sk.m, "seed": seed}
-    if sk.f is not None:
-        out["f"] = sk.f.to_json()
-    if sk.f1 is not None:
-        out["f1"] = sk.f1.to_json()
-    if sk.f2 is not None:
-        out["f2"] = sk.f2.to_json()
-    if sk.l is not None:
-        out["l"] = bits.to_str(sk.l, sk.m)
+    for name in KEY_FIELDS:
+        value = getattr(sk, name)
+        if value is not None:
+            out[name] = bits.to_str(value, sk.m) if name == "l" else value.to_json()
     if sk.scheme == SchemeId.PAN10:
         out["pan10_table"] = {bits.to_str(s, sk.m): bits.to_str(i, sk.n)
                               for s, i in sorted(sk.pan10_table.items())}
@@ -402,16 +434,26 @@ def private_key_to_json(sk: PrivateKey, seed: int | None = None) -> dict:
 
 
 def private_key_from_json(obj: dict) -> PrivateKey:
-    scheme = SchemeId(obj["scheme"])
-    sk = PrivateKey(scheme, obj["n"], obj["m"])
-    if "f" in obj:
-        sk.f = AnfFunction.from_json(obj["f"])
-    if "f1" in obj:
-        sk.f1 = AnfFunction.from_json(obj["f1"])
-    if "f2" in obj:
-        sk.f2 = AnfFunction.from_json(obj["f2"])
-    if "l" in obj:
-        sk.l = bits.from_str(obj["l"])[0]
-    for s_str, i_str in obj.get("pan10_table", {}).items():
-        sk.pan10_table[bits.from_str(s_str)[0]] = bits.from_str(i_str)[0]
+    scheme, n, m = _header(obj)
+    spec = SCHEMES[scheme]
+    sk = PrivateKey(scheme, n, m)
+    for name in KEY_FIELDS:
+        if (name in obj) != (name in spec.keys):
+            raise ValueError(f"{name}: scheme {scheme.value} keys hold exactly "
+                             f"the fields {', '.join(spec.keys)}")
+    for name in spec.keys:
+        if name == "l":
+            sk.l = _bitstring(obj["l"], m, "l")
+            continue
+        fn = _parse(name, "an ANF function", AnfFunction.from_json, obj[name])
+        n_out = 1 if name == "f2" and spec.parity else n
+        if (fn.m, fn.n_out) != (m, n_out):
+            raise ValueError(f"{name}: expected a function of {m} bits to {n_out}, "
+                             f"got {fn.m} to {fn.n_out}")
+        setattr(sk, name, fn)
+    table = obj.get("pan10_table", {})
+    if not isinstance(table, dict):
+        raise ValueError("pan10_table: expected an object of label: value bitstrings")
+    for s_str, i_str in table.items():
+        sk.pan10_table[_bitstring(s_str, m, "pan10_table")] = _bitstring(i_str, n, "pan10_table")
     return sk
