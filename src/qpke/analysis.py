@@ -5,6 +5,9 @@ public-key ensembles are averaged over all key draws (the random-oracle
 model replaces F(s) by a uniform k), so the resulting operators are exact
 up to floating point. Trace-distance bounds are then checked against the
 closed forms (sqrt(2)/2)^n, sqrt(1/2^(n-t+1)) and sqrt(1/2^(n-t-1)).
+The superposition-key (pan10) distances are the exception: they are counted
+exactly, with no dense operator, and the dense build is kept as their
+cross-check.
 
 Every mixture is a uniform average of conjugate-coding product states
 Y_j H_k |i> over some index set. `kets` builds those states in one batch
@@ -449,16 +452,28 @@ def pan10_rho_k(n: int, k: int, b: int = 0) -> np.ndarray:
     if not 0 < k < (1 << n):
         raise ValueError("k must be a nonzero n-bit string")
     dim = 1 << n
+    i = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=complex)
-    sign = -1.0 if b else 1.0
-    for i in range(dim):
-        mat[i, i] += 1.0
-        mat[i, i ^ k] += sign
-    return mat / dim
+    mat[i, i] = 1.0 / dim
+    mat[i, i ^ k] = (-1.0 if b else 1.0) / dim
+    return mat
 
 
-def _odd_keys(n: int):
-    return [k for k in range(1 << n) if bits.parity(k) == 1]
+def _spanning_tuples(t: int, r: int) -> int:
+    """Number of t-tuples over F_2 that span a given r-dimensional space:
+    prod_{i<r} (2^t - 2^i), which is 0 when r > t."""
+    count = 1
+    for i in range(r):
+        count *= (1 << t) - (1 << i)
+    return count
+
+
+def _subspaces(n: int, r: int) -> int:
+    """Gaussian binomial [n r]_2, the number of r-dimensional subspaces of
+    F_2^n; 0 when r < 0 or r > n."""
+    if r < 0:
+        return 0
+    return _spanning_tuples(n, r) // _spanning_tuples(r, r)
 
 
 def pan10_mixture_distance(n: int, t: int) -> list[SecurityReport]:
@@ -477,41 +492,79 @@ def pan10_mixture_distance(n: int, t: int) -> list[SecurityReport]:
     (For the unnormalized trace norm the per-term bound would fail, e.g. at
     n=3, t=2 where the norm is exactly 42/64.)
 
+    Both values are exact, by counting subspaces. In the Hadamard basis
+    rho_k^0 = diag 2^(1-n) [y.k = 0] and rho_k^0 - rho_k^1 = diag
+    2^(1-n) (-1)^(y.k), so both t-copy operators are diagonal in the tuples
+    (y_1..y_t). Averaged over odd k, the per-term entry is 2^(t(1-n)-r) when
+    the all-ones vector 1 lies outside V = span(y_1..y_t) of rank r, and 0
+    when it lies inside. The combined entry has magnitude 2^(t(1-n)-r') when
+    1 lies outside V' = span(y_2..y_t) of rank r' and y_1 lies in V' + <1>,
+    and is 0 otherwise. N(t, r) = prod_{i<r} (2^t - 2^i) tuples span each
+    r-dimensional space; there are [n r]_2 such spaces (a Gaussian
+    binomial), and [n-1 r-1]_2 of them contain 1. Hence
+
+      D_per  = (1/2) sum_r N(t,r) ( ([n r]_2 - [n-1 r-1]_2) |2^(t(1-n)-r) - 2^(-nt)|
+                                    + [n-1 r-1]_2 2^(-nt) ),
+      D_comb = 2^(t(1-n)) sum_{r'<t} N(t-1,r') ([n r']_2 - [n-1 r'-1]_2).
+
+    Each sum runs in Python integers over one common denominator, and one
+    int/int division rounds it correctly, so any n and t are allowed.
+    `_pan10_mixture_distance_dense` builds both operators densely and is the
+    cross-check the tests hold this route to (n*t <= 10).
+
     t = 0 is the empty product; both computed values are 0 by convention.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if t < 0:
         raise ValueError("t must be >= 0")
-    if n * max(t, 1) > 10:
-        raise ValueError("n*t must stay <= 10 to keep matrices small")
-    per_bound = float(np.sqrt(1.0 / (1 << (n - t + 1)))) if n - t + 1 >= 0 \
-        else float(np.sqrt(float(2 ** (t - 1 - n))))
-    comb_bound = float(np.sqrt(float(2.0 ** (t + 1 - n))))
+    per_bound = float(np.sqrt(2.0 ** -(n - t + 1)))
+    comb_bound = float(np.sqrt(2.0 ** (t + 1 - n)))
     if t == 0:
         per, comb = 0.0, 0.0
     else:
-        odd = _odd_keys(n)
-        dim = 1 << (n * t)
-        qmat.check_dim(dim)
-        acc_per = np.zeros((dim, dim), dtype=complex)
-        acc_comb = np.zeros((dim, dim), dtype=complex)
-        for k in odd:
-            r0 = pan10_rho_k(n, k, 0)
-            tail = np.array([[1.0 + 0j]])
-            for _ in range(t - 1):
-                tail = np.kron(tail, r0)
-            acc_per += np.kron(r0, tail)
-            acc_comb += np.kron(r0 - pan10_rho_k(n, k, 1), tail)
-        acc_per /= len(odd)
-        acc_comb /= len(odd)
-        eye = np.eye(dim, dtype=complex) / dim
-        per = 0.5 * qmat.trace_norm(acc_per - eye)
-        comb = 0.5 * qmat.trace_norm(acc_comb)
+        # outside[r]: the r-dimensional subspaces that miss the all-ones vector.
+        # Both sums are scaled by 2^(nt): per over 2^(nt+1), comb over 2^(nt-t).
+        outside = [_subspaces(n, r) - _subspaces(n - 1, r - 1) for r in range(min(n, t) + 1)]
+        per_num = sum(_spanning_tuples(t, r)
+                      * (free * ((1 << (t - r)) - 1) + _subspaces(n - 1, r - 1))
+                      for r, free in enumerate(outside))
+        comb_num = sum(_spanning_tuples(t - 1, r) * free for r, free in enumerate(outside))
+        per = per_num / (1 << (n * t + 1))
+        comb = comb_num / (1 << (n * t - t))
     return [
         SecurityReport("pan10_per_term", "pan10", n, t, "uniform_k", "shared_s",
                        per, per_bound),
         SecurityReport("pan10_combined", "pan10", n, t, "uniform_k", "shared_s",
                        comb, comb_bound),
     ]
+
+
+def _pan10_mixture_distance_dense(n: int, t: int) -> tuple[float, float]:
+    """(per-term, combined) of `pan10_mixture_distance`, from the dense
+    t-copy operators built out of `pan10_rho_k` and their trace norms."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if n * max(t, 1) > 10:
+        raise ValueError("n*t must stay <= 10 to keep matrices small")
+    if t == 0:
+        return 0.0, 0.0
+    odd = [k for k in range(1 << n) if bits.parity(k) == 1]
+    dim = 1 << (n * t)
+    qmat.check_dim(dim)
+    acc_per = np.zeros((dim, dim), dtype=complex)
+    acc_comb = np.zeros((dim, dim), dtype=complex)
+    for k in odd:
+        r0 = pan10_rho_k(n, k, 0)
+        per_k, comb_k = r0, r0 - pan10_rho_k(n, k, 1)
+        for _ in range(t - 1):
+            per_k, comb_k = np.kron(per_k, r0), np.kron(comb_k, r0)
+        acc_per += per_k
+        acc_comb += comb_k
+    acc_per /= len(odd)
+    acc_comb /= len(odd)
+    eye = np.eye(dim, dtype=complex) / dim
+    return 0.5 * qmat.trace_norm(acc_per - eye), 0.5 * qmat.trace_norm(acc_comb)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,8 @@ def ciphertext_distinguisher(scheme: SchemeId, n: int, samples: int,
     empirical success rate must match the analytic ceiling 1/2 + D/2 within
     three binomial standard deviations.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     scheme = SchemeId(scheme)
     if scheme == SchemeId.A:
         messages = (0, 1)

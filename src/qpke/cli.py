@@ -26,13 +26,31 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _parse_range(text: str) -> list[int]:
     """'4' -> [4]; '1..8' -> [1, 2, ..., 8]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
+
+
+def _range_arg(low: int):
+    """argparse type: reject a malformed range, or one reaching below low, at
+    parse time, and keep the text (the run's config records it as given)."""
+    def check(text: str) -> str:
+        if _parse_range(text)[0] < low:
+            raise argparse.ArgumentTypeError(f"values must be >= {low}, got {text!r}")
+        return text
+    return check
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _dump_json(obj: dict, out: str | Path | None) -> None:
@@ -285,8 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="compute security quantities and check bounds")
     p.add_argument("--target", required=True, choices=tuple(TARGETS))
-    p.add_argument("--n", required=True, help="value or range, e.g. 3 or 1..8")
-    p.add_argument("--t", default="1", help="copy count or range (multicopy, pan10)")
+    p.add_argument("--n", required=True, type=_range_arg(1),
+                   help="value or range, e.g. 3 or 1..8")
+    p.add_argument("--t", default="1", type=_range_arg(0),
+                   help="copy count or range (multicopy, pan10)")
     p.add_argument("--key-model", dest="key_model", choices=("uniform_k", "sampled_anf"))
     p.add_argument("--reuse", choices=("fresh_s", "shared_s"))
     p.add_argument("--samples", type=int, help="ANF sample count")
@@ -298,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default="a", choices=("a", "b", "m2"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--runs", type=_positive_int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=20000)
     p.add_argument("--max-copies", dest="max_copies", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_attack)

@@ -287,9 +287,39 @@ def test_pan10_zero_copies():
 
 def test_pan10_dimension_guard():
     with pytest.raises(ValueError):
-        pan10_mixture_distance(6, 2)
+        analysis._pan10_mixture_distance_dense(6, 2)
     with pytest.raises(ValueError):
         pan10_mixture_distance(4, -1)
+
+
+def test_pan10_exact_matches_dense():
+    # dual route: subspace counting against the dense trace norms, including
+    # the t > n points (n=1, t=5 and n=2, t=5)
+    for n in range(1, 11):
+        for t in range(0, 11):
+            if n * max(t, 1) > 10:
+                continue
+            per, comb = pan10_mixture_distance(n, t)
+            dense_per, dense_comb = analysis._pan10_mixture_distance_dense(n, t)
+            assert abs(per.computed - dense_per) < 1e-12, (n, t)
+            assert abs(comb.computed - dense_comb) < 1e-12, (n, t)
+
+
+def test_pan10_exact_per_term_n3_t2():
+    # the docstring's trace norm 42/64, halved
+    per, _ = pan10_mixture_distance(3, 2)
+    assert per.computed == 21 / 64
+
+
+def test_pan10_bounds_hold_past_the_dense_range():
+    for n in range(1, 65):
+        for t in range(0, 33):
+            per, comb = pan10_mixture_distance(n, t)
+            assert per.computed <= per.bound and comb.computed <= comb.bound, (n, t)
+            cs = 0.5 * np.sqrt((2.0 ** t - 1) / 2.0 ** (n - 1))
+            assert per.computed <= cs * (1 + 1e-12), (n, t)
+    with pytest.raises(ValueError):
+        pan10_mixture_distance(0, 1)
 
 
 # --- optimal measurement ----------------------------------------------------

@@ -157,6 +157,13 @@ def test_distinguisher_rejects_other_schemes():
             ciphertext_distinguisher(scheme, 2, 10, rng)
 
 
+def test_distinguisher_rejects_zero_samples():
+    rng = np.random.default_rng(74)
+    for samples in (0, -1):
+        with pytest.raises(ValueError):
+            ciphertext_distinguisher(SchemeId.A, 2, samples, rng)
+
+
 def test_distinguisher_outcome_serialization():
     out = DistinguisherOutcome("distinguish", "a", 2, 100, 0.84, 0.85, 0.04, True, 9)
     blob = out.to_json()

@@ -177,6 +177,37 @@ def test_attack_distinguish(capsys):
     assert abs(blob["analytic"] - 0.5) < 1e-9
 
 
+def test_analyze_pan10_bounds_at_n64(capsys):
+    rc = main(["analyze", "--target", "pan10-bounds", "--n", "64", "--t", "0..32"])
+    assert rc == 0
+    rows = [l for l in capsys.readouterr().out.strip().split("\n")
+            if l and not l.startswith("#")][1:]
+    assert len(rows) == 66
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--target", "sigma-bound", "--n", "1..x"],
+    ["analyze", "--target", "sigma-bound", "--n", "5..2"],
+    ["analyze", "--target", "pan10-bounds", "--n", "3", "--t", "2.."],
+    ["analyze", "--target", "sigma-bound", "--n", "0..2"],
+    ["analyze", "--target", "multicopy", "--n", "2", "--t", "-1"],
+    ["attack", "--target", "pan10-key", "--n", "3", "--runs", "0"],
+    ["attack", "--target", "distinguish", "--n", "3", "--samples", "0"],
+    ["attack", "--target", "owt-baseline", "--n", "3", "--samples", "-1"],
+])
+def test_bad_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_analyze_json_config_keeps_the_range_text(capsys):
+    assert main(["analyze", "--target", "sigma-bound", "--n", "3", "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["config"]["n"] == "3" and blob["config"]["t"] == "1"
+
+
 def test_sweep_is_deterministic_and_clean(tmp_path):
     first = tmp_path / "sweep1.csv"
     second = tmp_path / "sweep2.csv"
