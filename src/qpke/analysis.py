@@ -22,7 +22,6 @@ independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -162,18 +161,13 @@ def identity_mixture(n: int) -> np.ndarray:
     return np.eye(1 << n, dtype=complex) / (1 << n)
 
 
-@lru_cache(maxsize=None)
-def _hk_dense(n: int, k: int) -> np.ndarray:
+def hk_matrix(n: int, k: int) -> np.ndarray:
+    """Dense H_k on n qubits."""
+    qmat.check_dim(1 << n)
     out = np.array([[1.0 + 0j]])
     for a in range(n):
         out = np.kron(out, _H1 if bits.bit_at(k, a, n) else _I2)
     return out
-
-
-def hk_matrix(n: int, k: int) -> np.ndarray:
-    """Dense H_k on n qubits."""
-    qmat.check_dim(1 << n)
-    return _hk_dense(n, k)
 
 
 def _parity_class(n: int, b: int):
@@ -542,7 +536,8 @@ def pan10_mixture_distance(n: int, t: int) -> list[SecurityReport]:
 
 def _pan10_mixture_distance_dense(n: int, t: int) -> tuple[float, float]:
     """(per-term, combined) of `pan10_mixture_distance`, from the dense
-    t-copy operators built out of `pan10_rho_k` and their trace norms."""
+    t-copy operators, filled entry by entry as `pan10_rho_k` fills its own,
+    and their trace norms."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if n * max(t, 1) > 10:
@@ -552,15 +547,18 @@ def _pan10_mixture_distance_dense(n: int, t: int) -> tuple[float, float]:
     odd = [k for k in range(1 << n) if bits.parity(k) == 1]
     dim = 1 << (n * t)
     qmat.check_dim(dim)
+    rows = np.arange(dim)
     acc_per = np.zeros((dim, dim), dtype=complex)
     acc_comb = np.zeros((dim, dim), dtype=complex)
+    # rho_k^0 = (I + X_k)/2^n and rho_k^0 - rho_k^1 = 2 X_k/2^n, where X_k maps
+    # |i> to |i xor k>; so each t-fold product sums X over k placed on every
+    # subset of the copies (the first copy holds the most significant bits).
     for k in odd:
-        r0 = pan10_rho_k(n, k, 0)
-        per_k, comb_k = r0, r0 - pan10_rho_k(n, k, 1)
-        for _ in range(t - 1):
-            per_k, comb_k = np.kron(per_k, r0), np.kron(comb_k, r0)
-        acc_per += per_k
-        acc_comb += comb_k
+        for copies in range(1 << t):
+            mask = sum(k << (n * a) for a in range(t) if copies >> a & 1)
+            acc_per[rows, rows ^ mask] += 1.0 / dim
+            if copies >> (t - 1) & 1:
+                acc_comb[rows, rows ^ mask] += 2.0 / dim
     acc_per /= len(odd)
     acc_comb /= len(odd)
     eye = np.eye(dim, dtype=complex) / dim

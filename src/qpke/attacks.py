@@ -1,9 +1,10 @@
 """Concrete attacks and baselines run against the schemes.
 
-The superposition-key attack is simulated exactly: measurement statistics
-are computed from dense amplitudes and sampled by inverse CDF, never
-approximated. Statistical baselines (output-collision rate, optimal
-distinguishing) report empirical rates next to their analytic values.
+The superposition-key attack is simulated exactly: a Hadamard-basis outcome
+of a two-term state is uniform over a hyperplane (or over all strings), so
+it is sampled in closed form at any n, never approximated. Statistical
+baselines (output-collision rate, optimal distinguishing) report empirical
+rates next to their analytic values.
 """
 from __future__ import annotations
 
@@ -13,8 +14,7 @@ from itertools import islice
 import numpy as np
 
 from . import bits, qmat
-from .analysis import (cipher_mixture_A, cipher_mixture_uniform, helstrom_projector,
-                       hk_matrix)
+from .analysis import cipher_mixture_A, cipher_mixture_uniform, helstrom_projector
 from .boolfn import RandomOracle, gf2_nullspace
 from .qsym import ProductState, TwoTermState
 from .schemes import SchemeId, copy_public_key, keygen
@@ -115,15 +115,30 @@ def pan10_shared_key_stream(n: int, rng: np.random.Generator, m: int | None = No
 def pan10_measure_equation(state: TwoTermState, rng: np.random.Generator) -> int:
     """Apply H on every qubit of a two-term state and measure.
 
-    The outcome distribution is computed exactly from dense amplitudes and
-    sampled by inverse CDF; for a published key the support is precisely
-    {y : y . k = 0}, so each outcome is one linear equation about k.
+    H^(x)n sends (|i> + i^p |i xor k>)/sqrt(2) to amplitudes proportional to
+    (-1)^(i.y) (1 + i^p (-1)^(y.k)), so the outcome is uniform over the
+    hyperplane y.k = p/2 for even p (for a published key, p = 0: each
+    outcome is one linear equation about k) and uniform over all n-bit
+    strings for odd p. Sampled in closed form: r is uniform on the free
+    bits, its top 53 bits taken from one rng.random() and any further low
+    bits from bits.rand_bits; for even p the bit at c, the position of k's
+    lowest set bit, is then inserted so that y lands on the hyperplane.
+    That insertion is monotone in r, because no bit of k lies below c, so y
+    is exactly the outcome that inverting the cumulative distribution of
+    the dense amplitudes at the same rng.random() gives.
     """
-    n = state.n
-    amps = hk_matrix(n, (1 << n) - 1) @ state.to_vector()
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum()
-    return int(np.searchsorted(np.cumsum(probs), rng.random()))
+    n, k = state.n, state.k
+    even = state.rel_phase % 2 == 0
+    width = n - 1 if even else n
+    r = int(rng.random() * (1 << 53)) >> max(53 - width, 0)
+    if width > 53:
+        r = (r << (width - 53)) | bits.rand_bits(rng, width - 53)
+    if not even:
+        return r
+    c = (k & -k).bit_length() - 1
+    low = r & ((1 << c) - 1)
+    y = ((r ^ low) << 1) | low
+    return y | (bits.dot(y, k) ^ (state.rel_phase >> 1)) << c
 
 
 def pan10_key_recovery(pk_stream, max_copies: int, rng: np.random.Generator,

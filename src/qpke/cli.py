@@ -189,7 +189,11 @@ def _emit_reports(reports: list[SecurityReport], args, config: dict) -> int:
 def cmd_analyze(args) -> int:
     rng = _rng(args.seed)
     ns, ts = _parse_range(args.n), _parse_range(args.t)
-    reports = [r for n in ns for r in TARGETS[args.target][0](n, ts, args, rng)]
+    try:
+        reports = [r for n in ns for r in TARGETS[args.target][0](n, ts, args, rng)]
+    except ValueError as exc:  # DimensionCapError included: an analysis limit, not a bug
+        print(f"qpke analyze: {exc}", file=sys.stderr)
+        return 2
     config = {"target": args.target, "n": args.n, "t": args.t,
               "key_model": args.key_model, "reuse": args.reuse}
     return _emit_reports(reports, args, config)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qpke import bits
+from qpke.analysis import hk_matrix
 from qpke.attacks import (ATTACK_CSV_HEADER, AttackOutcome, DistinguisherOutcome,
                           ciphertext_distinguisher, owt_inversion_baseline,
                           pan10_key_recovery, pan10_measure_equation,
@@ -43,6 +44,59 @@ def test_measure_equation_outcomes_cover_the_orthogonal_space():
     assert min(counts.values()) > 150  # ~200 each, > 6 sigma of slack
 
 
+def _dense_measure_equation(state, rng, h):
+    """The dense sampler: outcome probabilities from H^(x)n amplitudes (h;
+    only the state's two nonzero entries contribute), one rng.random()
+    inverted through their cumulative sum."""
+    vec = state.to_vector()
+    nz = np.flatnonzero(vec)
+    probs = np.abs(h[:, nz] @ vec[nz]) ** 2
+    probs /= probs.sum()
+    return int(np.searchsorted(np.cumsum(probs), rng.random()))
+
+
+def test_measure_equation_matches_dense_oracle():
+    # same outcome and same generator state as the dense route, every draw
+    pick = np.random.default_rng(75)
+    draws = 0
+    for n in range(1, 11):
+        h = hk_matrix(n, (1 << n) - 1)
+        for phase in range(4):
+            fast, dense = np.random.default_rng([n, phase]), np.random.default_rng([n, phase])
+            for _ in range(500):
+                state = TwoTermState(n, int(pick.integers(0, 1 << n)),
+                                     int(pick.integers(1, 1 << n)), phase,
+                                     int(pick.integers(0, 4)))
+                assert pan10_measure_equation(state, fast) == \
+                    _dense_measure_equation(state, dense, h)
+                assert fast.bit_generator.state == dense.bit_generator.state
+                draws += 1
+    assert draws >= 20_000
+
+
+@pytest.mark.parametrize("n", [54, 64, 256])
+def test_measure_equation_fills_every_bit_past_one_double(n):
+    # a double holds 53 random bits; every free bit must still vary
+    rng = np.random.default_rng(76 + n)
+    for phase in (0, 2):
+        k = bits.rand_bits(rng, n) | 1 << int(rng.integers(0, n))
+        state = TwoTermState(n, bits.rand_bits(rng, n), k, phase)
+        ys = [pan10_measure_equation(state, rng) for _ in range(200)]
+        assert all(bits.dot(y, k) == phase // 2 for y in ys)
+        for pos in set(range(n)) - {(k & -k).bit_length() - 1}:
+            assert {y >> pos & 1 for y in ys} == {0, 1}, pos
+
+
+@pytest.mark.parametrize("n", [1, 2, 53, 54, 55, 64, 256])
+def test_measure_equation_draws_one_double_then_the_missing_bits(n):
+    for phase in range(4):
+        rng, replay = np.random.default_rng([77, n, phase]), np.random.default_rng([77, n, phase])
+        pan10_measure_equation(TwoTermState(n, 0, 1, phase), rng)
+        replay.random()
+        bits.rand_bits(replay, max(n - (phase % 2 == 0) - 53, 0))
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
 def test_shared_stream_repeats_one_key():
     rng = np.random.default_rng(63)
     stream = pan10_shared_key_stream(4, rng)
@@ -70,6 +124,14 @@ def test_key_recovery_runs():
     mean = float(np.mean(copies))
     assert n - 1 <= mean <= n + 3
     assert min(copies) >= n - 1  # fewer equations cannot pin down a line
+
+
+def test_key_recovery_at_n64():
+    rng = np.random.default_rng(78)
+    for run in range(20):
+        out = pan10_key_recovery(pan10_shared_key_stream(64, rng), 4 * 64, rng, seed=run)
+        assert out.success
+        assert 63 <= out.copies_used <= 4 * 64
 
 
 def test_key_recovery_budget_exhausted_is_failure():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qpke import analysis, qmat
+from qpke import analysis
 from qpke.cli import _emit_reports, _parse_range, main
 
 
@@ -220,7 +220,28 @@ def test_sweep_is_deterministic_and_clean(tmp_path):
     assert len(rows) > 30
 
 
-def test_dimension_cap_env(monkeypatch):
+def test_dimension_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("QPKE_DIM_CAP", "8")
-    with pytest.raises(qmat.DimensionCapError):
-        main(["analyze", "--target", "sigma-bound", "--n", "5"])
+    assert main(["analyze", "--target", "sigma-bound", "--n", "5"]) == 2
+    assert capsys.readouterr().err == "qpke analyze: dimension 32 exceeds cap 8\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--target", "sigma-bound", "--n", "20"],
+    ["--target", "multicopy", "--n", "4", "--t", "3"],
+    ["--target", "multicopy", "--key-model", "sampled_anf", "--n", "2"],
+])
+def test_analyze_limits_are_one_line_errors(argv, capsys):
+    assert main(["analyze", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qpke analyze: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_attack_pan10_key_past_the_dense_range(n, capsys):
+    rc = main(["attack", "--target", "pan10-key", "--n", str(n), "--runs", "5",
+               "--seed", "8"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["success_rate"] == 1.0
