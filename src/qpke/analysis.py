@@ -17,11 +17,13 @@ two routes through them: the formula kets H_w|v> (parity-b values v, all
 bases w) and the protocol kets Y_j H_k|i> (even i, parity-b masks j, all k);
 they are compared entrywise whenever a mixture is built (small n). The
 tests hold `kets` to the per-state qsym pipeline, bit for bit, as the
-independent oracle.
+independent oracle. The channels E1 and E2 act qubit by qubit, with 2x2
+matrices read off the same table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -34,10 +36,12 @@ __all__ = [
     "SecurityReport",
     "MixtureSpec",
     "CSV_HEADER",
+    "csv_cell",
     "reports_to_csv",
     "report_ok",
     "sigma_b",
     "sigma_bound_report",
+    "cipher_mixture",
     "cipher_mixture_A",
     "cipher_mixture_A_sampled",
     "cipher_mixture_uniform",
@@ -55,11 +59,14 @@ __all__ = [
     "helstrom_advantage",
 ]
 
-CSV_HEADER = "quantity,scheme,n,t,key_model,reuse,computed,bound,margin,seed"
-
-_H1 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_U_PI4 = np.array([[1, -1], [1, 1]], dtype=complex) * (np.sqrt(2) / 2)
-_I2 = np.eye(2, dtype=complex)
+def csv_cell(value) -> str:
+    """One CSV cell: None is empty, a bool lower case, a float to 12
+    significant digits, anything else its str."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,11 @@ class SecurityReport:
 
     mode "le" means computed must not exceed bound + tol, "eq" means the two
     must agree within tol; a missing bound marks an informational row.
+    FIELDS are the columns of its CSV row and the keys of its JSON row.
     """
+
+    FIELDS = ("quantity", "scheme", "n", "t", "key_model", "reuse",
+              "computed", "bound", "margin", "seed")
 
     quantity: str
     scheme: str | None
@@ -87,23 +98,10 @@ class SecurityReport:
         return None if self.bound is None else self.bound - self.computed
 
     def to_csv_row(self) -> str:
-        cells = [
-            self.quantity,
-            self.scheme or "",
-            str(self.n),
-            "" if self.t is None else str(self.t),
-            self.key_model,
-            self.reuse or "",
-            _fmt(self.computed),
-            "" if self.bound is None else _fmt(self.bound),
-            "" if self.margin is None else _fmt(self.margin),
-            "" if self.seed is None else str(self.seed),
-        ]
-        return ",".join(cells)
+        return ",".join(csv_cell(getattr(self, name)) for name in self.FIELDS)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+CSV_HEADER = ",".join(SecurityReport.FIELDS)
 
 
 def report_ok(r: SecurityReport) -> bool:
@@ -128,10 +126,16 @@ def reports_to_csv(reports, provenance: dict | None = None) -> str:
 # ---------------------------------------------------------------------------
 # Elementary states and ensembles.
 
-# Single-qubit kets Y^j H^k |i>, row 4i + 2k + j, read off the gate table.
-_QUBIT_KETS = np.array([
-    QubitSymbol(Z1 if i else Z0).apply("H" if k else "I").apply("Y" if j else "I").to_vector()
-    for i in (0, 1) for k in (0, 1) for j in (0, 1)])
+def _gate(*gates: str) -> np.ndarray:
+    """2x2 matrix of the gates applied in turn, read off the gate table
+    column by column."""
+    return np.array([reduce(QubitSymbol.apply, gates, QubitSymbol(z)).to_vector()
+                     for z in (Z0, Z1)]).T
+
+
+# Single-qubit kets Y^j H^k |i>, row 4i + 2k + j.
+_QUBIT_KETS = np.array([_gate("H" if k else "I", "Y" if j else "I")[:, i]
+                        for i in (0, 1) for k in (0, 1) for j in (0, 1)])
 
 
 def kets(n: int, i, k=0, j=0) -> np.ndarray:
@@ -159,15 +163,6 @@ def ensemble(vecs: np.ndarray, weight) -> np.ndarray:
 
 def identity_mixture(n: int) -> np.ndarray:
     return np.eye(1 << n, dtype=complex) / (1 << n)
-
-
-def hk_matrix(n: int, k: int) -> np.ndarray:
-    """Dense H_k on n qubits."""
-    qmat.check_dim(1 << n)
-    out = np.array([[1.0 + 0j]])
-    for a in range(n):
-        out = np.kron(out, _H1 if bits.bit_at(k, a, n) else _I2)
-    return out
 
 
 def _parity_class(n: int, b: int):
@@ -254,6 +249,14 @@ def cipher_mixture_uniform(scheme: SchemeId, n: int, message: int) -> np.ndarray
     return _protocol_cipher_average(n, range(1 << n), masks)
 
 
+def cipher_mixture(scheme: SchemeId, n: int, message: int) -> np.ndarray:
+    """Ciphertext ensemble of any scheme with a distinguishing game: the
+    parity scheme's formula route for a, protocol enumeration otherwise."""
+    if SchemeId(scheme) == SchemeId.A:
+        return cipher_mixture_A(n, message, cross_check=False)
+    return cipher_mixture_uniform(scheme, n, message)
+
+
 # ---------------------------------------------------------------------------
 # Public-key mixtures.
 
@@ -283,25 +286,30 @@ def pubkey_mixture_B(n: int) -> SecurityReport:
 
 
 # ---------------------------------------------------------------------------
-# The two channels connecting sigma_b to the ciphertext mixture.
+# The two channels connecting sigma_b to the ciphertext mixture. Both act on
+# each qubit alike, so they are applied one qubit at a time.
+
+def _qubitwise(rho: np.ndarray, ops, weight: float = 1.0) -> np.ndarray:
+    """rho after the single-qubit channel sum_K weight K (.) K^dag over the
+    2x2 ops, applied to every qubit in turn (a reshape per qubit)."""
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[0]
+    for a in range(dim.bit_length() - 1):
+        view = rho.reshape(2 * (1 << a, 2, dim >> (a + 1)))
+        rho = weight * sum(np.einsum("xy,aybczd,wz->axbcwd", op, view, op.conj())
+                           for op in ops).reshape(dim, dim)
+    return rho
+
 
 def channel_e1(rho: np.ndarray) -> np.ndarray:
-    """Conjugation by the n-fold pi/4 rotation U = (sqrt(2)/2) [[1,-1],[1,1]]."""
-    rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0].bit_length() - 1
-    u = qmat.kron_all([_U_PI4] * n)
-    return u @ rho @ u.conj().T
+    """Conjugation by the n-fold pi/4 rotation U = HZ = (sqrt(2)/2) [[1,-1],[1,1]]."""
+    return _qubitwise(rho, [_gate("Z", "H")])
 
 
 def channel_e2(rho: np.ndarray) -> np.ndarray:
-    """Uniform Hadamard-mask twirl: (1/2^n) sum_k H_k rho H_k."""
-    rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0].bit_length() - 1
-    acc = np.zeros_like(rho)
-    for k in range(1 << n):
-        hk = hk_matrix(n, k)
-        acc += hk @ rho @ hk
-    return acc / (1 << n)
+    """Uniform Hadamard-mask twirl (1/2^n) sum_k H_k rho H_k, which is
+    rho -> (rho + H rho H)/2 on every qubit."""
+    return _qubitwise(rho, [_gate("I"), _gate("H")], 0.5)
 
 
 def channel_identity_report(n: int) -> SecurityReport:
@@ -317,20 +325,16 @@ def channel_identity_report(n: int) -> SecurityReport:
 
 
 def cipher_distance_report(scheme: SchemeId, n: int) -> SecurityReport:
-    """Trace distance between the two message ensembles of a one-bit scheme,
-    or between a fixed-message ensemble and I/2^n for the n-bit schemes."""
+    """Trace distance between the ciphertext ensembles of the messages 0 and
+    2^width - 1: both messages of a one-bit scheme, two fixed plaintexts of
+    m1/m2. Scheme a is bounded by (sqrt(2)/2)^n; the others are all
+    maximally mixed."""
     scheme = SchemeId(scheme)
-    if scheme == SchemeId.A:
-        d = qmat.trace_distance(cipher_mixture_A(n, 0, cross_check=False),
-                                cipher_mixture_A(n, 1, cross_check=False))
-        return SecurityReport("cipher_distance", "a", n, None, "uniform_k", None,
-                              d, (np.sqrt(2) / 2) ** n, tol=1e-9)
-    # The two messages of b; two fixed plaintexts of m1/m2. All are maximally mixed.
     last = (1 << message_width(scheme, n)) - 1
-    d = qmat.trace_distance(cipher_mixture_uniform(scheme, n, 0),
-                            cipher_mixture_uniform(scheme, n, last))
-    return SecurityReport("cipher_distance", scheme.value, n, None, "uniform_k",
-                          None, d, 0.0, tol=1e-10)
+    d = qmat.trace_distance(cipher_mixture(scheme, n, 0), cipher_mixture(scheme, n, last))
+    a = scheme == SchemeId.A
+    return SecurityReport("cipher_distance", scheme.value, n, None, "uniform_k", None, d,
+                          (np.sqrt(2) / 2) ** n if a else 0.0, tol=1e-9 if a else 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +552,8 @@ def _pan10_mixture_distance_dense(n: int, t: int) -> tuple[float, float]:
     dim = 1 << (n * t)
     qmat.check_dim(dim)
     rows = np.arange(dim)
-    acc_per = np.zeros((dim, dim), dtype=complex)
-    acc_comb = np.zeros((dim, dim), dtype=complex)
+    acc_per = np.zeros((dim, dim))
+    acc_comb = np.zeros((dim, dim))
     # rho_k^0 = (I + X_k)/2^n and rho_k^0 - rho_k^1 = 2 X_k/2^n, where X_k maps
     # |i> to |i xor k>; so each t-fold product sums X over k placed on every
     # subset of the copies (the first copy holds the most significant bits).
@@ -561,7 +565,7 @@ def _pan10_mixture_distance_dense(n: int, t: int) -> tuple[float, float]:
                 acc_comb[rows, rows ^ mask] += 2.0 / dim
     acc_per /= len(odd)
     acc_comb /= len(odd)
-    eye = np.eye(dim, dtype=complex) / dim
+    eye = np.eye(dim) / dim
     return 0.5 * qmat.trace_norm(acc_per - eye), 0.5 * qmat.trace_norm(acc_comb)
 
 

@@ -14,15 +14,16 @@ from itertools import islice
 import numpy as np
 
 from . import bits, qmat
-from .analysis import cipher_mixture_A, cipher_mixture_uniform, helstrom_projector
+from .analysis import cipher_mixture, csv_cell, helstrom_projector, kets
 from .boolfn import RandomOracle, gf2_nullspace
-from .qsym import ProductState, TwoTermState
-from .schemes import SchemeId, copy_public_key, keygen
+from .qsym import TwoTermState
+from .schemes import SCHEMES, SchemeId, copy_public_key, keygen, message_width
 
 __all__ = [
     "AttackOutcome",
     "DistinguisherOutcome",
     "ATTACK_CSV_HEADER",
+    "GAME_SCHEMES",
     "pan10_shared_key_stream",
     "pan10_measure_equation",
     "pan10_key_recovery",
@@ -45,9 +46,7 @@ class _Outcome:
         return asdict(self)
 
     def to_csv_row(self) -> str:
-        cells = (getattr(self, name) for name in self.CSV_FIELDS)
-        return ",".join("" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
-                        for v in cells)
+        return ",".join(csv_cell(getattr(self, name)) for name in self.CSV_FIELDS)
 
 
 @dataclass
@@ -206,22 +205,11 @@ def owt_inversion_baseline(n: int, trials: int, rng: np.random.Generator,
     return rate
 
 
-def _draw_cipher_state(scheme: SchemeId, n: int, message: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """One protocol ciphertext in the uniform-k key model."""
-    k = bits.rand_bits(rng, n)
-    if scheme == SchemeId.A:
-        i = bits.rand_parity_bits(rng, n, 0)
-        j = bits.rand_parity_bits(rng, n, message)
-    elif scheme == SchemeId.B:
-        i = bits.rand_bits(rng, n)
-        j = bits.rand_parity_bits(rng, n, message)
-    elif scheme == SchemeId.M2:
-        i = bits.rand_bits(rng, n)
-        j = message
-    else:
-        raise ValueError(f"distinguishing game not defined for scheme {scheme}")
-    return ProductState.from_bits(i, n).apply_hk(k).apply_yj(j).to_vector()
+# Schemes with a two-message distinguishing game: a, b, and m2.
+GAME_SCHEMES = (SchemeId.A, SchemeId.B, SchemeId.M2)
+
+# Ciphertexts densified per block of the game: 1 MB of amplitudes.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def ciphertext_distinguisher(scheme: SchemeId, n: int, samples: int,
@@ -229,38 +217,42 @@ def ciphertext_distinguisher(scheme: SchemeId, n: int, samples: int,
                              seed: int | None = None) -> DistinguisherOutcome:
     """Play the two-message distinguishing game with the optimal measurement.
 
-    The adversary holds the exact ciphertext mixtures for both messages and
-    measures each sampled ciphertext with the optimal projector; the
-    empirical success rate must match the analytic ceiling 1/2 + D/2 within
-    three binomial standard deviations.
+    The messages are 0 and 2^width - 1. The adversary holds the exact
+    ciphertext mixtures for both and measures each sampled ciphertext with
+    the optimal projector; the empirical success rate must match the
+    analytic ceiling 1/2 + D/2 within three binomial standard deviations.
+
+    Each sample draws the message index b, a protocol ciphertext Y_j H_k |i>
+    in the uniform-k key model (k, i, j), then the measurement's
+    rng.random(). A block of samples is drawn first, then densified by one
+    `kets` call and measured at once.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     scheme = SchemeId(scheme)
-    if scheme == SchemeId.A:
-        messages = (0, 1)
-        rho = (cipher_mixture_A(n, 0, cross_check=False),
-               cipher_mixture_A(n, 1, cross_check=False))
-    elif scheme == SchemeId.B:
-        messages = (0, 1)
-        rho = (cipher_mixture_uniform(scheme, n, 0),
-               cipher_mixture_uniform(scheme, n, 1))
-    elif scheme == SchemeId.M2:
-        messages = (0, (1 << n) - 1)
-        rho = (cipher_mixture_uniform(scheme, n, messages[0]),
-               cipher_mixture_uniform(scheme, n, messages[1]))
-    else:
+    if scheme not in GAME_SCHEMES:
         raise ValueError(f"distinguishing game not defined for scheme {scheme}")
-
+    messages = (0, (1 << message_width(scheme, n)) - 1)
+    rho = [cipher_mixture(scheme, n, message) for message in messages]
     analytic = 0.5 + 0.5 * qmat.trace_distance(rho[0], rho[1])
     proj = helstrom_projector(rho[0], rho[1])
+    wide = SCHEMES[scheme].wide
+    block = max(1, _BLOCK_ENTRIES >> n)
     wins = 0
-    for _ in range(samples):
-        b = bits.rand_bits(rng, 1)
-        vec = _draw_cipher_state(scheme, n, messages[b], rng)
-        p_guess0 = float(np.real(vec.conj() @ proj @ vec))
-        guess = 0 if rng.random() < p_guess0 else 1
-        wins += guess == b
+    for start in range(0, samples, block):
+        draws, u = [], []
+        for _ in range(min(block, samples - start)):
+            b = bits.rand_bits(rng, 1)
+            k = bits.rand_bits(rng, n)
+            i = bits.rand_parity_bits(rng, n, 0) if scheme == SchemeId.A \
+                else bits.rand_bits(rng, n)
+            j = messages[b] if wide else bits.rand_parity_bits(rng, n, messages[b])
+            draws.append((b, i, k, j))
+            u.append(rng.random())
+        b, i, k, j = np.array(draws).T
+        vecs = kets(n, i, k, j)
+        p_guess0 = np.einsum("rd,rd->r", vecs.conj() @ proj, vecs).real
+        wins += int(np.sum((np.array(u) < p_guess0) == (b == 0)))
     empirical = wins / samples
     sigma = float(np.sqrt(analytic * (1 - analytic) / samples)) if analytic < 1 \
         else float(np.sqrt(0.25 / samples))

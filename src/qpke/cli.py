@@ -176,8 +176,7 @@ def _emit_reports(reports: list[SecurityReport], args, config: dict) -> int:
                 "config": json.dumps(config, sort_keys=True)}
         _write_text(analysis.reports_to_csv(reports, prov), args.out)
     else:
-        fields = analysis.CSV_HEADER.split(",")
-        rows = [{name: getattr(r, name) for name in fields} for r in reports]
+        rows = [{name: getattr(r, name) for name in SecurityReport.FIELDS} for r in reports]
         _dump_json({**_provenance(args, **config), "reports": rows}, args.out)
     bad = [r for r in reports if not analysis.report_ok(r)]
     for r in bad:
@@ -319,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run an attack or baseline")
     p.add_argument("--target", required=True, choices=ATTACK_TARGETS)
-    p.add_argument("--scheme", default="a", choices=("a", "b", "m2"))
+    p.add_argument("--scheme", default="a", choices=[s.value for s in attacks.GAME_SCHEMES])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--runs", type=_positive_int, default=100)

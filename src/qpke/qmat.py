@@ -1,8 +1,8 @@
 """Dense complex-matrix helpers: tensor products, spectra, trace distance.
 
-All operators are plain numpy arrays of complex128. Matrices are kept small
-(the working dimension is capped, default 2**12) because every quantity in
-this package is computed exactly rather than sampled.
+Operators are numpy arrays of complex128 (trace_norm keeps real input real).
+Matrices are kept small (the working dimension is capped, default 2**12)
+because every quantity in this package is computed exactly, not sampled.
 """
 from __future__ import annotations
 
@@ -93,9 +93,9 @@ def trace_norm(a: np.ndarray) -> float:
 
     Hermitian inputs take the exact route sum|eig(A)|; squaring through
     A^dag A would cost half the significant digits. Everything else goes
-    through the spectrum of A^dag A.
+    through the spectrum of A^dag A. Real input stays real (real eigvalsh).
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("trace_norm expects a square matrix")
     if is_hermitian(a):

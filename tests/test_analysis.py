@@ -4,8 +4,11 @@ Frozen constants in this file were computed from the exact enumerations
 before being pinned; anything labeled "frozen" is a regression anchor, not
 an independently meaningful tolerance.
 """
+from functools import reduce
+
 import numpy as np
 import pytest
+from test_qsym import GATE_MATRICES
 
 from qpke import analysis, qmat
 from qpke.analysis import (MixtureSpec, SecurityReport, channel_e1, channel_e2,
@@ -47,9 +50,8 @@ def test_kets_match_per_state_qsym_pipeline():
     lambda: cipher_mixture_A(5, 0),
     lambda: cipher_mixture_uniform(SchemeId.B, 5, 0),
     lambda: analysis.pubkey_mixture_fixed_k(5, 0),
-    lambda: analysis.hk_matrix(6, 63),
 ], ids=["sigma_b", "cipher_mixture_A", "cipher_mixture_uniform",
-        "pubkey_mixture_fixed_k", "hk_matrix"])
+        "pubkey_mixture_fixed_k"])
 def test_dense_builders_honour_dim_cap(monkeypatch, build):
     monkeypatch.setenv("QPKE_DIM_CAP", "16")
     with pytest.raises(qmat.DimensionCapError):
@@ -168,10 +170,29 @@ def test_channel_identity():
         assert report_ok(r)
 
 
+def _dense_channels(rho, n):
+    """The channels' dense definitions, from the gate matrices: conjugation
+    by U^(x)n with U = HZ, and (1/2^n) sum_k H_k rho H_k."""
+    h, i = GATE_MATRICES["H"], GATE_MATRICES["I"]
+    u = reduce(np.kron, [h @ GATE_MATRICES["Z"]] * n)
+    hks = (reduce(np.kron, [h if k >> a & 1 else i for a in range(n)]) for k in range(1 << n))
+    return u @ rho @ u.conj().T, sum(hk @ rho @ hk for hk in hks) / (1 << n)
+
+
+def test_channels_match_dense_definitions():
+    rng = np.random.default_rng(52)
+    for n in range(1, 6):
+        for _ in range(3):
+            rho = random_density(rng, 1 << n)
+            e1, e2 = _dense_channels(rho, n)
+            assert np.max(np.abs(channel_e1(rho) - e1)) < 1e-14
+            assert np.max(np.abs(channel_e2(rho) - e2)) < 1e-14
+
+
 def test_channels_preserve_density_and_contract():
     rng = np.random.default_rng(50)
-    for _ in range(60):
-        n = int(rng.integers(1, 4))
+    for trial in range(61):
+        n = int(rng.integers(1, 4)) if trial < 60 else 8
         rho = random_density(rng, 1 << n)
         sig = random_density(rng, 1 << n)
         for chan in (channel_e1, channel_e2):
@@ -184,9 +205,10 @@ def test_channels_preserve_density_and_contract():
 def test_channel_e2_is_idempotent():
     # averaging over the Hadamard-mask group twice changes nothing
     rng = np.random.default_rng(51)
-    rho = random_density(rng, 4)
-    once = channel_e2(rho)
-    assert np.max(np.abs(channel_e2(once) - once)) < 1e-14
+    for n in (2, 8):
+        rho = random_density(rng, 1 << n)
+        once = channel_e2(rho)
+        assert np.max(np.abs(channel_e2(once) - once)) < 1e-14
 
 
 # --- multi-copy joint states ------------------------------------------------

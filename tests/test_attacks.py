@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qpke import bits
-from qpke.analysis import hk_matrix
 from qpke.attacks import (ATTACK_CSV_HEADER, AttackOutcome, DistinguisherOutcome,
                           ciphertext_distinguisher, owt_inversion_baseline,
                           pan10_key_recovery, pan10_measure_equation,
@@ -55,12 +54,21 @@ def _dense_measure_equation(state, rng, h):
     return int(np.searchsorted(np.cumsum(probs), rng.random()))
 
 
+def _dense_hadamard(n):
+    """H^(x)n, one np.kron per qubit."""
+    h1 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    h = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        h = np.kron(h, h1)
+    return h
+
+
 def test_measure_equation_matches_dense_oracle():
     # same outcome and same generator state as the dense route, every draw
     pick = np.random.default_rng(75)
     draws = 0
     for n in range(1, 11):
-        h = hk_matrix(n, (1 << n) - 1)
+        h = _dense_hadamard(n)
         for phase in range(4):
             fast, dense = np.random.default_rng([n, phase]), np.random.default_rng([n, phase])
             for _ in range(500):
