@@ -136,6 +136,8 @@ def _gate(*gates: str) -> np.ndarray:
 # Single-qubit kets Y^j H^k |i>, row 4i + 2k + j.
 _QUBIT_KETS = np.array([_gate("H" if k else "I", "Y" if j else "I")[:, i]
                         for i in (0, 1) for k in (0, 1) for j in (0, 1)])
+# Kraus operators of the channels: E1 conjugates by U = HZ, E2 by I and H.
+_E1_OPS, _E2_OPS = [_gate("Z", "H")], [_gate("I"), _gate("H")]
 
 
 def kets(n: int, i, k=0, j=0) -> np.ndarray:
@@ -303,13 +305,13 @@ def _qubitwise(rho: np.ndarray, ops, weight: float = 1.0) -> np.ndarray:
 
 def channel_e1(rho: np.ndarray) -> np.ndarray:
     """Conjugation by the n-fold pi/4 rotation U = HZ = (sqrt(2)/2) [[1,-1],[1,1]]."""
-    return _qubitwise(rho, [_gate("Z", "H")])
+    return _qubitwise(rho, _E1_OPS)
 
 
 def channel_e2(rho: np.ndarray) -> np.ndarray:
     """Uniform Hadamard-mask twirl (1/2^n) sum_k H_k rho H_k, which is
     rho -> (rho + H rho H)/2 on every qubit."""
-    return _qubitwise(rho, [_gate("I"), _gate("H")], 0.5)
+    return _qubitwise(rho, _E2_OPS, 0.5)
 
 
 def channel_identity_report(n: int) -> SecurityReport:

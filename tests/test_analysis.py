@@ -8,7 +8,6 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from test_qsym import GATE_MATRICES
 
 from qpke import analysis, qmat
 from qpke.analysis import (MixtureSpec, SecurityReport, channel_e1, channel_e2,
@@ -24,6 +23,13 @@ from qpke.qsym import ProductState, TwoTermState
 from qpke.schemes import SchemeId
 
 SQ = np.sqrt(2) / 2
+
+# The tests' own gate matrices, the oracle for the gate table's channels.
+GATE_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+}
 
 
 def random_density(rng, dim):
@@ -125,6 +131,15 @@ def test_cipher_distance_reports_b_m1_m2():
         assert r.bound == 0.0
         assert r.computed < 1e-12
         assert report_ok(r)
+
+
+def test_cipher_mixture_routes_by_scheme():
+    assert np.array_equal(analysis.cipher_mixture(SchemeId.A, 3, 1),
+                          cipher_mixture_A(3, 1, cross_check=False))
+    assert np.array_equal(analysis.cipher_mixture(SchemeId.M2, 2, 3),
+                          cipher_mixture_uniform(SchemeId.M2, 2, 3))
+    with pytest.raises(ValueError):
+        analysis.cipher_mixture(SchemeId.PAN10, 2, 0)
 
 
 def test_sampled_mixture_converges():
@@ -399,3 +414,8 @@ def test_reports_to_csv():
     assert lines[1] == analysis.CSV_HEADER
     assert lines[2].startswith("sigma_distance,,3,,uniform_k,,0.353553390593,")
     assert r.margin == 0.0
+
+
+def test_csv_cell_formats_each_type():
+    cells = [analysis.csv_cell(v) for v in (None, True, False, 0.1 + 0.2, 2.0 ** -60, 7, "a")]
+    assert cells == ["", "true", "false", "0.3", "8.67361737988e-19", "7", "a"]
