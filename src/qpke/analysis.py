@@ -12,13 +12,15 @@ cross-check.
 Every mixture is a uniform average of conjugate-coding product states
 Y_j H_k |i> over some index set. `kets` builds those states in one batch
 from a single-qubit table read off `qsym.GATE_ACTIONS`, and `ensemble` sums
-their projectors in one matrix product. The scheme-a ciphertext mixture has
-two routes through them: the formula kets H_w|v> (parity-b values v, all
-bases w) and the protocol kets Y_j H_k|i> (even i, parity-b masks j, all k);
-they are compared entrywise whenever a mixture is built (small n). The
-tests hold `kets` to the per-state qsym pipeline, bit for bit, as the
-independent oracle. The channels E1 and E2 act qubit by qubit, with 2x2
-matrices read off the same table.
+their projectors in one matrix product. The channels E1 and E2 act qubit by
+qubit, with 2x2 matrices read off the same table. As Y_j H_k |i> is
+H_k |i xor j> up to a phase, the protocol route averages over all k by
+applying E2 to the diagonal histogram of i xor j; it builds the b, m1, m2
+and public-key mixtures. The scheme-a ciphertext mixture also has the
+formula route, kets H_w|v> (parity-b v, all w), and cipher_mixture_A
+compares the two entrywise unless told not to. The tests hold `kets` to the
+per-state qsym pipeline, bit for bit, and the protocol route to the
+enumerated kets Y_j H_k |i>.
 """
 from __future__ import annotations
 
@@ -189,29 +191,27 @@ def sigma_bound_report(n: int) -> SecurityReport:
 # Ciphertext mixtures.
 
 def _protocol_cipher_average(n: int, i_values, j_values) -> np.ndarray:
-    """Average of Y_j H_k |i> over all k and the given i and j sets, one
-    batch of |i|*|j| kets per k."""
+    """Average of Y_j H_k |i> over all k and the given i and j sets. Up to a
+    phase Y_j H_k |i> = H_k |i xor j>, so this is E2 of the diagonal
+    histogram of i xor j."""
     qmat.check_dim(1 << n)
-    i = np.asarray(i_values)[:, None]
-    weight = 1.0 / (len(i_values) * len(j_values) * (1 << n))
-    return sum(ensemble(kets(n, i, k, j_values), weight) for k in range(1 << n))
+    x = np.bitwise_xor.outer(np.asarray(i_values), np.asarray(j_values)).ravel()
+    return channel_e2(np.diag(np.bincount(x, minlength=1 << n) / x.size))
 
 
-def cipher_mixture_A(n: int, b: int, cross_check: bool | None = None) -> np.ndarray:
+def cipher_mixture_A(n: int, b: int, cross_check: bool = True) -> np.ndarray:
     """Ciphertext ensemble of the parity scheme for message bit b:
     (1/2^(2n-1)) sum over parity-b value strings v and all basis strings w of
     the product of signal states psi_{v_a w_a} = H^{w_a} |v_a>.
 
-    With cross_check (default for n <= 5) the same operator is rebuilt by
-    averaging protocol-simulated states over (k, i, j) and both routes must
+    With cross_check the same operator is rebuilt by the protocol route
+    (E2 of the even-i, parity-b-j histogram of i xor j) and both routes must
     agree entrywise to 1e-10.
     """
     qmat.check_dim(1 << n)
     values = _parity_class(n, b)
     weight = 1.0 / (1 << (2 * n - 1))
     rho = sum(ensemble(kets(n, values, w), weight) for w in range(1 << n))
-    if cross_check is None:
-        cross_check = n <= 5
     if cross_check:
         sim = _protocol_cipher_average(n, _parity_class(n, 0), _parity_class(n, b))
         dev = float(np.max(np.abs(rho - sim)))
@@ -240,7 +240,7 @@ def cipher_mixture_A_sampled(n: int, b: int, num_samples: int,
 
 def cipher_mixture_uniform(scheme: SchemeId, n: int, message: int) -> np.ndarray:
     """Ciphertext ensemble for the schemes whose encoded value i is uniform
-    over all n-bit strings (b, m1, m2). Built by protocol enumeration; the
+    over all n-bit strings (b, m1, m2). Built by the protocol route; the
     closed form is the maximally mixed state."""
     scheme = SchemeId(scheme)
     if scheme not in (SchemeId.B, SchemeId.M1, SchemeId.M2):
@@ -253,7 +253,7 @@ def cipher_mixture_uniform(scheme: SchemeId, n: int, message: int) -> np.ndarray
 
 def cipher_mixture(scheme: SchemeId, n: int, message: int) -> np.ndarray:
     """Ciphertext ensemble of any scheme with a distinguishing game: the
-    parity scheme's formula route for a, protocol enumeration otherwise."""
+    parity scheme's formula route for a, the protocol route otherwise."""
     if SchemeId(scheme) == SchemeId.A:
         return cipher_mixture_A(n, message, cross_check=False)
     return cipher_mixture_uniform(scheme, n, message)
@@ -369,27 +369,24 @@ class MixtureSpec:
             raise ValueError("n*(copies+1) must stay <= 10 to keep matrices small")
 
 
-def _b_cipher_state(n: int, k: int, p: int, b: int) -> np.ndarray:
-    """Scheme-b ciphertext mixture for fixed key material (k, p = F2(s))."""
-    i = np.asarray(_parity_class(n, p))[:, None]
-    return ensemble(kets(n, i, k, _parity_class(n, b)), 1.0 / (1 << (2 * n - 2)))
-
-
 def _b_pubkey_state(n: int, k: int, p: int) -> np.ndarray:
+    """H_k (uniform mixture of parity-p strings) H_k: the scheme-b public key
+    for key material (k, p = F2(s)). Masking its i with a parity-b j leaves
+    i xor j uniform on parity p xor b, so the ciphertext of bit b is this
+    state at parity p ^ b."""
     return ensemble(kets(n, _parity_class(n, p), k), 1.0 / (1 << (n - 1)))
 
 
-def _joint_state(n: int, t: int, b: int, pairs_and_weights) -> np.ndarray:
-    dim = 1 << (n * (t + 1))
-    qmat.check_dim(dim)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for (k, p), w in pairs_and_weights:
-        block = _b_cipher_state(n, k, p, b)
-        tau = _b_pubkey_state(n, k, p)
-        for _ in range(t):
-            block = np.kron(block, tau)
-        acc += w * block
-    return acc
+def _joint_state(n: int, t: int, b: int, pairs_and_weights, shared: bool) -> np.ndarray:
+    """Ciphertext of bit b followed by t public-key copies, averaged over the
+    weighted (k, p) pairs: jointly when all slots share s, slot by slot when
+    each slot draws its own."""
+    qmat.check_dim(1 << (n * (t + 1)))
+    slots = [(w, _b_pubkey_state(n, k, p ^ b), _b_pubkey_state(n, k, p))
+             for (k, p), w in pairs_and_weights]
+    if not shared:
+        slots = [(1.0, sum(w * c for w, c, _ in slots), sum(w * tau for w, _, tau in slots))]
+    return sum(w * qmat.kron_all([cipher] + [tau] * t) for w, cipher, tau in slots)
 
 
 def multicopy_distance(spec: MixtureSpec,
@@ -419,23 +416,8 @@ def multicopy_distance(spec: MixtureSpec,
         w = 1.0 / (1 << (n + 1))
         pairs = [((k, p), w) for k in range(1 << n) for p in (0, 1)]
 
-    if spec.reuse == "shared_s":
-        rho0 = _joint_state(n, t, 0, pairs)
-        rho1 = _joint_state(n, t, 1, pairs)
-    else:
-        # Independent s per slot: average each tensor factor separately.
-        def avg(builder):
-            acc = np.zeros((1 << n, 1 << n), dtype=complex)
-            for (k, p), weight in pairs:
-                acc += weight * builder(k, p)
-            return acc
-
-        tau = avg(lambda k, p: _b_pubkey_state(n, k, p))
-        rho0 = avg(lambda k, p: _b_cipher_state(n, k, p, 0))
-        rho1 = avg(lambda k, p: _b_cipher_state(n, k, p, 1))
-        for _ in range(t):
-            rho0 = qmat.kron(rho0, tau)
-            rho1 = qmat.kron(rho1, tau)
+    shared = spec.reuse == "shared_s"
+    rho0, rho1 = (_joint_state(n, t, b, pairs, shared) for b in (0, 1))
 
     d = qmat.trace_distance(rho0, rho1)
     bound = 0.0 if spec.reuse == "fresh_s" and spec.key_model == "uniform_k" else None

@@ -105,7 +105,7 @@ def test_cipher_distance_a_is_exactly_the_bound():
 
 
 def test_uniform_cipher_mixtures_are_maximally_mixed():
-    for n in (2, 3):
+    for n in (2, 3, 8):
         eye = identity_mixture(n)
         for b in (0, 1):
             dev = np.max(np.abs(cipher_mixture_uniform(SchemeId.B, n, b) - eye))
@@ -114,6 +114,27 @@ def test_uniform_cipher_mixtures_are_maximally_mixed():
             for scheme in (SchemeId.M1, SchemeId.M2):
                 dev = np.max(np.abs(cipher_mixture_uniform(scheme, n, msg) - eye))
                 assert dev < 1e-13
+
+
+def _parity_strings(n, p):
+    return np.array([v for v in range(1 << n) if bin(v).count("1") % 2 == p])
+
+
+def _enumerated_protocol_average(n, i_values, j_values):
+    """Average of the kets Y_j H_k |i> over all k, i and j, one batch per k."""
+    weight = 1.0 / (len(i_values) * len(j_values) * (1 << n))
+    return sum(analysis.ensemble(analysis.kets(n, np.asarray(i_values)[:, None], k, j_values),
+                                 weight) for k in range(1 << n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_protocol_average_matches_enumerated_kets(n):
+    evens, odds = _parity_strings(n, 0), _parity_strings(n, 1)
+    for i_values in (np.arange(1 << n), evens, odds):
+        for j_values in (evens, odds, [0], [1], [(1 << n) - 1]):
+            want = _enumerated_protocol_average(n, i_values, j_values)
+            got = analysis._protocol_cipher_average(n, i_values, j_values)
+            assert np.max(np.abs(got - want)) < 1e-14, (n, list(i_values), list(j_values))
 
 
 def test_uniform_cipher_mixture_validation():
@@ -227,6 +248,20 @@ def test_channel_e2_is_idempotent():
 
 
 # --- multi-copy joint states ------------------------------------------------
+
+def test_b_cipher_state_is_the_pubkey_state_at_parity_p_xor_b():
+    # Y_j-masked ciphertext kets of parity-p values and parity-b masks
+    for n in range(1, 5):
+        weight = 1.0 / (1 << (2 * n - 2))
+        for k in range(1 << n):
+            for p in (0, 1):
+                i = _parity_strings(n, p)[:, None]
+                for b in (0, 1):
+                    want = analysis.ensemble(analysis.kets(n, i, k, _parity_strings(n, b)),
+                                             weight)
+                    got = analysis._b_pubkey_state(n, k, p ^ b)
+                    assert np.max(np.abs(got - want)) < 1e-14, (n, k, p, b)
+
 
 def test_multicopy_fresh_is_zero():
     for n, t in ((2, 1), (2, 2), (3, 1)):

@@ -194,6 +194,11 @@ def test_analyze_pan10_bounds_at_n64(capsys):
     ["attack", "--target", "pan10-key", "--n", "3", "--runs", "0"],
     ["attack", "--target", "distinguish", "--n", "3", "--samples", "0"],
     ["attack", "--target", "owt-baseline", "--n", "3", "--samples", "-1"],
+    ["attack", "--target", "pan10-key", "--n", "3", "--max-copies", "-1"],
+    ["attack", "--target", "pan10-key", "--n", "3", "--max-copies", "0"],
+    ["attack", "--target", "distinguish", "--n", "0"],
+    ["keygen", "--scheme", "a", "--n", "0", "--out", "unused"],
+    ["roundtrip", "--scheme", "a", "--n", "0"],
 ])
 def test_bad_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -237,6 +242,24 @@ def test_analyze_limits_are_one_line_errors(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("qpke analyze: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--target", "owt-baseline", "--n", "21"],
+    ["--target", "distinguish", "--n", "13", "--samples", "5"],
+])
+def test_attack_limits_are_one_line_errors(argv, capsys):
+    assert main(["attack", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qpke attack: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_attack_distinguish_scheme_b_at_n8(capsys):
+    assert main(["attack", "--target", "distinguish", "--scheme", "b", "--n", "8",
+                 "--samples", "2000"]) == 0
+    assert json.loads(capsys.readouterr().out)["success"] is True
 
 
 @pytest.mark.parametrize("n", [16, 64])
