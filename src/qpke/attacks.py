@@ -14,7 +14,7 @@ from itertools import islice
 import numpy as np
 
 from . import bits, qmat
-from .analysis import cipher_mixture, csv_cell, helstrom_projector, kets
+from .analysis import cipher_mixture, csv_cell, helstrom_projector
 from .boolfn import RandomOracle, gf2_nullspace
 from .qsym import TwoTermState
 from .schemes import SCHEMES, SchemeId, copy_public_key, keygen, message_width
@@ -208,9 +208,6 @@ def owt_inversion_baseline(n: int, trials: int, rng: np.random.Generator,
 # Schemes with a two-message distinguishing game: a, b, and m2.
 GAME_SCHEMES = (SchemeId.A, SchemeId.B, SchemeId.M2)
 
-# Ciphertexts densified per block of the game: 1 MB of amplitudes.
-_BLOCK_ENTRIES = 1 << 16
-
 
 def ciphertext_distinguisher(scheme: SchemeId, n: int, samples: int,
                              rng: np.random.Generator,
@@ -224,8 +221,11 @@ def ciphertext_distinguisher(scheme: SchemeId, n: int, samples: int,
 
     Each sample draws the message index b, a protocol ciphertext Y_j H_k |i>
     in the uniform-k key model (k, i, j), then the measurement's
-    rng.random(). A block of samples is drawn first, then densified by one
-    `kets` call and measured at once.
+    rng.random(). Every ciphertext v of message b is accepted as message 0
+    with the same probability <v|P|v> = tr(P rho_b): for b and m2 rho_0 =
+    rho_1 = I/2^n and P = I; for a P = (I + H^(x)n)/2, and
+    <v|H^(x)n|v> = (-1)^b 2^(-n/2) for every H_k |i xor j>. So the sample is
+    measured against tr(P rho_b), and v is never densified.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -236,23 +236,20 @@ def ciphertext_distinguisher(scheme: SchemeId, n: int, samples: int,
     rho = [cipher_mixture(scheme, n, message) for message in messages]
     analytic = 0.5 + 0.5 * qmat.trace_distance(rho[0], rho[1])
     proj = helstrom_projector(rho[0], rho[1])
+    accept = [float(np.trace(proj @ r).real) for r in rho]
     wide = SCHEMES[scheme].wide
-    block = max(1, _BLOCK_ENTRIES >> n)
     wins = 0
-    for start in range(0, samples, block):
-        draws, u = [], []
-        for _ in range(min(block, samples - start)):
-            b = bits.rand_bits(rng, 1)
-            k = bits.rand_bits(rng, n)
-            i = bits.rand_parity_bits(rng, n, 0) if scheme == SchemeId.A \
-                else bits.rand_bits(rng, n)
-            j = messages[b] if wide else bits.rand_parity_bits(rng, n, messages[b])
-            draws.append((b, i, k, j))
-            u.append(rng.random())
-        b, i, k, j = np.array(draws).T
-        vecs = kets(n, i, k, j)
-        p_guess0 = np.einsum("rd,rd->r", vecs.conj() @ proj, vecs).real
-        wins += int(np.sum((np.array(u) < p_guess0) == (b == 0)))
+    for _ in range(samples):
+        b = bits.rand_bits(rng, 1)
+        # k, i and j move no verdict but are still drawn: the seeded stream is the gate.
+        bits.rand_bits(rng, n)
+        if scheme == SchemeId.A:
+            bits.rand_parity_bits(rng, n, 0)
+        else:
+            bits.rand_bits(rng, n)
+        if not wide:
+            bits.rand_parity_bits(rng, n, messages[b])
+        wins += (rng.random() < accept[b]) == (b == 0)
     empirical = wins / samples
     sigma = float(np.sqrt(analytic * (1 - analytic) / samples)) if analytic < 1 \
         else float(np.sqrt(0.25 / samples))

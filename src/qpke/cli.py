@@ -2,8 +2,8 @@
 
 Subcommands: keygen, encrypt, decrypt, roundtrip, analyze, attack, sweep.
 All randomness flows from --seed, so reruns with the same arguments write
-byte-identical files. Analysis commands exit nonzero when any computed
-quantity violates its bound.
+byte-identical files. Every subcommand exits 0 when its run is done, 1
+when a result misses its bound or target, and 2 when an input is rejected.
 """
 from __future__ import annotations
 
@@ -95,7 +95,7 @@ def cmd_encrypt(args) -> int:
     message, width = bits.from_str(args.message)
     expected = schemes.message_width(pk.scheme, pk.n)
     if width != expected:
-        raise SystemExit(f"message must be {expected} bit(s) for scheme {pk.scheme.value}")
+        raise ValueError(f"message must be {expected} bit(s) for scheme {pk.scheme.value}")
     rng = _rng(args.seed)
     ct = schemes.encrypt(pk, message, rng, allow_reuse=args.allow_reuse)
     obj = schemes.ciphertext_to_json(ct, seed=args.seed)
@@ -188,11 +188,7 @@ def _emit_reports(reports: list[SecurityReport], args, config: dict) -> int:
 def cmd_analyze(args) -> int:
     rng = _rng(args.seed)
     ns, ts = _parse_range(args.n), _parse_range(args.t)
-    try:
-        reports = [r for n in ns for r in TARGETS[args.target][0](n, ts, args, rng)]
-    except ValueError as exc:  # DimensionCapError included: an analysis limit, not a bug
-        print(f"qpke analyze: {exc}", file=sys.stderr)
-        return 2
+    reports = [r for n in ns for r in TARGETS[args.target][0](n, ts, args, rng)]
     config = {"target": args.target, "n": args.n, "t": args.t,
               "key_model": args.key_model, "reuse": args.reuse}
     return _emit_reports(reports, args, config)
@@ -217,27 +213,13 @@ def _outcomes_csv(outcomes) -> str:
 
 def cmd_attack(args) -> int:
     if args.target == "owt-baseline" and args.format == "csv":
-        raise SystemExit("attack --target owt-baseline has no CSV form; use --format json")
+        raise ValueError("owt-baseline has no CSV form; use --format json")
     rng = _rng(args.seed)
-    max_copies = args.max_copies or 4 * args.n
-    try:  # the attacks' own limits (DimensionCapError included), not bugs
-        if args.target == "pan10-key":
-            outcomes = [attacks.pan10_key_recovery(
-                attacks.pan10_shared_key_stream(args.n, rng, m=args.m), max_copies, rng,
-                seed=args.seed) for _ in range(args.runs)]
-        elif args.target == "owt-baseline":
-            rate = attacks.owt_inversion_baseline(args.n, args.samples, rng)
-        else:
-            outcome = attacks.ciphertext_distinguisher(SchemeId(args.scheme), args.n,
-                                                       args.samples, rng, seed=args.seed)
-    except AssertionError as exc:  # owt-baseline: the rate missed its 3-sigma band
-        print(f"{args.target} FAILED: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"qpke attack: {exc}", file=sys.stderr)
-        return 2
-
     if args.target == "pan10-key":
+        max_copies = args.max_copies or 4 * args.n
+        outcomes = [attacks.pan10_key_recovery(
+            attacks.pan10_shared_key_stream(args.n, rng, m=args.m), max_copies, rng,
+            seed=args.seed) for _ in range(args.runs)]
         rate = sum(o.success for o in outcomes) / len(outcomes)
         mean_copies = sum(o.copies_used for o in outcomes) / len(outcomes)
         if args.format == "csv":
@@ -252,11 +234,18 @@ def cmd_attack(args) -> int:
         return 0 if rate >= 0.99 else 1
 
     if args.target == "owt-baseline":
+        try:
+            rate = attacks.owt_inversion_baseline(args.n, args.samples, rng)
+        except AssertionError as exc:  # the rate missed its 3-sigma band
+            print(f"{args.target} FAILED: {exc}", file=sys.stderr)
+            return 1
         _dump_json({**_provenance(args, target=args.target, n=args.n,
                                   trials=args.samples),
                     "rate": rate, "expected": 0.5 ** args.n}, args.out)
         return 0
 
+    outcome = attacks.ciphertext_distinguisher(SchemeId(args.scheme), args.n,
+                                               args.samples, rng, seed=args.seed)
     if args.format == "csv":
         _write_text(_outcomes_csv([outcome]), args.out)
     else:
@@ -303,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True, choices=[s.value for s in SchemeId])
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_roundtrip)
 
@@ -337,8 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A ValueError (DimensionCapError included) is a
+    rejected input or a limit of the analysis, not a bug: it ends as one line
+    on stderr and exit status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"qpke {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

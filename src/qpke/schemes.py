@@ -363,6 +363,8 @@ def _bitstring(text, width: int, name: str) -> int:
 
 def _header(obj: dict) -> tuple[SchemeId, int, int]:
     """The scheme, n and m of a JSON record, checked: integers, 1 <= n < m."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"record: expected a JSON object, got {type(obj).__name__}")
     scheme = _parse("scheme", "a scheme id", SchemeId, obj.get("scheme"))
     n, m = obj.get("n"), obj.get("m")
     if not (type(n) is int and type(m) is int and 1 <= n < m):
@@ -391,15 +393,15 @@ def _record_from_json(obj: dict) -> tuple:
     return scheme, n, m, label, quantum
 
 
+def _record_to_json(record: PublicKey | Ciphertext, seed: int | None) -> dict:
+    """The JSON record of a public key or ciphertext that _record_from_json reads."""
+    return {"scheme": record.scheme.value, "n": record.n, "m": record.m, "seed": seed,
+            "label": _label_to_json(record.label, record.m),
+            "quantum": record.quantum.to_json()}
+
+
 def public_key_to_json(pk: PublicKey, seed: int | None = None) -> dict:
-    return {
-        "scheme": pk.scheme.value,
-        "n": pk.n,
-        "m": pk.m,
-        "seed": seed,
-        "label": _label_to_json(pk.label, pk.m),
-        "quantum": pk.quantum.to_json(),
-    }
+    return _record_to_json(pk, seed)
 
 
 def public_key_from_json(obj: dict) -> PublicKey:
@@ -407,14 +409,7 @@ def public_key_from_json(obj: dict) -> PublicKey:
 
 
 def ciphertext_to_json(ct: Ciphertext, seed: int | None = None) -> dict:
-    return {
-        "scheme": ct.scheme.value,
-        "n": ct.n,
-        "m": ct.m,
-        "seed": seed,
-        "label": _label_to_json(ct.label, ct.m),
-        "quantum": ct.quantum.to_json(),
-    }
+    return _record_to_json(ct, seed)
 
 
 def ciphertext_from_json(obj: dict) -> Ciphertext:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from qpke import bits
-from qpke.attacks import (ATTACK_CSV_HEADER, AttackOutcome, DistinguisherOutcome,
-                          ciphertext_distinguisher, owt_inversion_baseline,
-                          pan10_key_recovery, pan10_measure_equation,
-                          pan10_shared_key_stream)
+from qpke.analysis import cipher_mixture, helstrom_projector, kets
+from qpke.attacks import (ATTACK_CSV_HEADER, GAME_SCHEMES, AttackOutcome,
+                          DistinguisherOutcome, ciphertext_distinguisher,
+                          owt_inversion_baseline, pan10_key_recovery,
+                          pan10_measure_equation, pan10_shared_key_stream)
 from qpke.qsym import TwoTermState
-from qpke.schemes import SchemeId, keygen
+from qpke.schemes import SCHEMES, SchemeId, keygen, message_width
 
 
 def test_measure_equation_support():
@@ -218,6 +219,27 @@ def test_distinguisher_m2_is_blind():
     out = ciphertext_distinguisher(SchemeId.M2, 2, 3000, rng)
     assert abs(out.analytic - 0.5) < 1e-9
     assert out.success
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("scheme", GAME_SCHEMES)
+def test_every_ciphertext_is_accepted_with_probability_tr_p_rho(scheme, n):
+    # The game measures each sample of message b against tr(P rho_b); every
+    # ciphertext Y_j H_k |i> of b must give that value densely.
+    messages = (0, (1 << message_width(scheme, n)) - 1)
+    rho = [cipher_mixture(scheme, n, message) for message in messages]
+    proj = helstrom_projector(*rho)
+    strings = np.arange(1 << n)
+    even = [v for v in strings if bits.parity(v) == 0]
+    for b, message in enumerate(messages):
+        i_set = even if scheme == SchemeId.A else strings
+        j_set = [message] if SCHEMES[scheme].wide else \
+            [v for v in strings if bits.parity(v) == message]
+        i, k, j = (a.ravel() for a in np.meshgrid(i_set, strings, j_set, indexing="ij"))
+        vecs = kets(n, i, k, j)
+        dense = np.einsum("rd,rd->r", vecs.conj() @ proj, vecs).real
+        accept = float(np.trace(proj @ rho[b]).real)
+        assert np.max(np.abs(dense - accept)) <= 1e-14
 
 
 def test_distinguisher_rejects_other_schemes():

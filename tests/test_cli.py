@@ -1,6 +1,10 @@
 """End-to-end command-line flows through main(argv)."""
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,10 +45,12 @@ def test_keygen_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_keygen_rejects_narrow_seed_width(tmp_path):
-    with pytest.raises(ValueError):
-        main(["keygen", "--scheme", "a", "--n", "4", "--m", "4",
-              "--out", str(tmp_path / "x")])
+def test_keygen_rejects_narrow_seed_width(tmp_path, capsys):
+    assert main(["keygen", "--scheme", "a", "--n", "4", "--m", "4",
+                 "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qpke keygen: m must exceed n, got m=4, n=4\n"
 
 
 def test_encrypt_decrypt_file_flow(tmp_path, capsys):
@@ -74,10 +80,13 @@ def test_encrypt_decrypt_wide_message(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1011"
 
 
-def test_encrypt_rejects_wrong_message_width(tmp_path):
+def test_encrypt_rejects_wrong_message_width(tmp_path, capsys):
     outdir = run_keygen(tmp_path, "keys")
-    with pytest.raises(SystemExit):
-        main(["encrypt", "--pub", str(outdir / "pub_0000.json"), "--message", "101"])
+    capsys.readouterr()
+    assert main(["encrypt", "--pub", str(outdir / "pub_0000.json"), "--message", "101"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qpke encrypt: message must be 1 bit(s) for scheme a\n"
 
 
 def test_roundtrip_command(capsys):
@@ -199,6 +208,8 @@ def test_analyze_pan10_bounds_at_n64(capsys):
     ["attack", "--target", "distinguish", "--n", "0"],
     ["keygen", "--scheme", "a", "--n", "0", "--out", "unused"],
     ["roundtrip", "--scheme", "a", "--n", "0"],
+    ["roundtrip", "--scheme", "a", "--n", "3", "--trials", "0"],
+    ["roundtrip", "--scheme", "a", "--n", "3", "--trials", "-4"],
 ])
 def test_bad_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -254,6 +265,47 @@ def test_attack_limits_are_one_line_errors(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("qpke attack: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["keygen", "--scheme", "a", "--n", "3", "--count", "-1", "--out", "{tmp}/k"],
+    ["keygen", "--scheme", "b", "--n", "3", "--m", "2", "--out", "{tmp}/k"],
+    ["roundtrip", "--scheme", "b", "--n", "3", "--m", "1"],
+    ["encrypt", "--pub", "{tmp}/keys/pub_0000.json", "--message", "01"],
+    ["encrypt", "--pub", "{tmp}/keys/pub_0000.json", "--message", "2"],
+    ["decrypt", "--priv", "{tmp}/keys/private.json", "--ct", "{tmp}/n9.json"],
+    ["decrypt", "--priv", "{tmp}/keys/private.json", "--ct", "{tmp}/brace.json"],
+    ["decrypt", "--priv", "{tmp}/keys/private.json", "--ct", "{tmp}/list.json"],
+    ["attack", "--target", "owt-baseline", "--n", "2", "--format", "csv"],
+])
+def test_rejected_inputs_are_one_line_errors(argv, tmp_path, capsys):
+    keys = run_keygen(tmp_path, "keys")  # scheme a: one-bit messages, n=3, m=6
+    ct = tmp_path / "ct.json"
+    assert main(["encrypt", "--pub", str(keys / "pub_0000.json"), "--message", "1",
+                 "--out", str(ct)]) == 0
+    (tmp_path / "n9.json").write_text(json.dumps({**json.loads(ct.read_text()), "n": 9}))
+    (tmp_path / "brace.json").write_text("{")
+    (tmp_path / "list.json").write_text("[]")
+    capsys.readouterr()
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"qpke {argv[0]}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not (tmp_path / "k").exists()
+
+
+def test_rejected_input_exits_2_without_a_traceback(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "qpke.cli", "keygen", "--scheme", "a",
+                           "--n", "3", "--count", "-1", "--out", str(tmp_path / "keys")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "qpke keygen: count must be >= 0, got -1\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_attack_distinguish_scheme_b_at_n8(capsys):

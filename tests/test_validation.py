@@ -123,6 +123,15 @@ def test_n_and_m_must_be_integers_with_n_below_m(n, m):
         public_key_from_json(obj)
 
 
+@pytest.mark.parametrize("load", [public_key_from_json, ciphertext_from_json,
+                                  private_key_from_json])
+@pytest.mark.parametrize("obj", [[], "x", None, 3])
+def test_record_must_be_a_json_object(load, obj):
+    kind = type(obj).__name__
+    with pytest.raises(ValueError, match=f"^record: expected a JSON object, got {kind}$"):
+        load(obj)
+
+
 def test_malformed_quantum_record_names_the_field():
     _, pk, _ = issued(SchemeId.PAN10)
     obj = public_key_to_json(pk)
