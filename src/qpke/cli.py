@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -26,11 +27,10 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _parse_range(text: str) -> list[int]:
     """'4' -> [4]; '1..8' -> [1, 2, ..., 8]."""
-    lo, sep, hi = text.partition("..")
-    try:
-        lo, hi = int(lo), int(hi if sep else lo)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
+    match = re.fullmatch(r"(-?\d+)(?:\.\.(-?\d+))?", text)
+    if not match:
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}")
+    lo, hi = int(match[1]), int(match[2] or match[1])
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return list(range(lo, hi + 1))
