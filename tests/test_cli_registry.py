@@ -2,8 +2,6 @@
 outcome emitter."""
 import json
 
-import pytest
-
 from qpke import analysis
 from qpke.attacks import ATTACK_CSV_HEADER, AttackOutcome, DistinguisherOutcome
 from qpke.cli import TARGETS, build_parser, main
