@@ -7,6 +7,7 @@ outputs are ints, handled MSB-first like everywhere else in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
 
 DEFAULT_BALANCE_ATTEMPTS = 10_000
 BALANCED_MAX_M = 20  # the balance check enumerates all 2^m inputs
+_WORD = (1 << 64) - 1  # evaluation splits masks and inputs into uint64 words
 
 
 class GenerationError(RuntimeError):
@@ -53,32 +55,49 @@ class AnfFunction:
         if not 0 <= self.constants < (1 << self.n_out):
             raise ValueError("constants out of range")
         for tset in self.terms:
-            for mask in tset:
-                if not 0 <= mask < (1 << self.m):
-                    raise ValueError(f"monomial mask {mask} out of range")
+            lo, hi = min(tset, default=0), max(tset, default=0)
+            if lo < 0 or hi >> self.m:
+                raise ValueError(f"monomial mask {lo if lo < 0 else hi} out of range")
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every monomial mask as a column of uint64 words, least significant
+        word first, and the output bit that owns each monomial."""
+        masks = [mask for tset in self.terms for mask in tset]
+        words = np.empty(((self.m + 63) // 64, len(masks)), dtype=np.uint64)
+        for w in range(len(words)):
+            words[w] = np.fromiter(((mask >> (64 * w)) & _WORD for mask in masks),
+                                   dtype=np.uint64, count=len(masks))
+        owner = np.repeat(np.arange(self.n_out, dtype=np.min_scalar_type(self.n_out)),
+                          [len(tset) for tset in self.terms])
+        return words, owner
 
     def evaluate(self, s: int) -> int:
-        """Value at input s, as an n_out-bit integer."""
+        """Value at input s, as an n_out-bit integer. A monomial fires at s
+        exactly when mask & ~s == 0; all monomials are tested at once, a
+        64-bit word at a time."""
+        s = int(s)
         if not 0 <= s < (1 << self.m):
             raise ValueError(f"input {s} out of range for m={self.m}")
+        words, owner = self._table
+        missing = np.zeros(words.shape[1], dtype=np.uint64)
+        for w, row in enumerate(words):
+            missing |= row & np.uint64(~(s >> (64 * w)) & _WORD)
+        fired = np.bincount(owner[missing == 0], minlength=self.n_out) & 1
         out = self.constants
-        for b, tset in enumerate(self.terms):
-            acc = 0
-            for mask in tset:
-                acc ^= (s & mask) == mask
-            if acc:
-                out ^= 1 << (self.n_out - 1 - b)
+        for b in np.flatnonzero(fired):
+            out ^= 1 << (self.n_out - 1 - int(b))
         return out
 
     def output_bit_table(self, b: int) -> np.ndarray:
-        """Truth table of output bit b over all 2^m inputs (vectorized)."""
-        inputs = np.arange(1 << self.m, dtype=np.uint64)
-        acc = np.zeros(1 << self.m, dtype=bool)
-        for mask in self.terms[b]:
-            acc ^= (inputs & np.uint64(mask)) == np.uint64(mask)
+        """Truth table of output bit b over all 2^m inputs, by the subset-XOR
+        transform of its monomial coefficient vector."""
+        coeffs = np.zeros(1 << self.m, dtype=np.uint8)
+        coeffs[np.fromiter(self.terms[b], dtype=np.int64)] = 1
+        table = _anf_truth_table(coeffs, self.m).astype(bool)
         if bits.bit_at(self.constants, b, self.n_out):
-            acc = ~acc
-        return acc
+            table = ~table
+        return table
 
     def is_balanced_bit(self, b: int) -> bool:
         table = self.output_bit_table(b)

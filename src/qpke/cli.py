@@ -64,6 +64,16 @@ def _write_text(text: str, out: str | Path | None) -> None:
         sys.stdout.write(text)
 
 
+def _load(path: str, loader):
+    """Read, parse and load one key or ciphertext record. A file that cannot
+    be read or is not JSON is a rejected input whose error names the path."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+    return loader(obj)
+
+
 def _provenance(args, **config) -> dict:
     return {"seed": args.seed, "version": __version__, "config": config}
 
@@ -76,7 +86,10 @@ def cmd_keygen(args) -> int:
     sk, pks = schemes.keygen(SchemeId(args.scheme), args.n, rng, m=args.m,
                              count=args.count)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{outdir}: {exc.strerror}") from None
     priv = schemes.private_key_to_json(sk, seed=args.seed)
     priv["version"] = __version__
     _dump_json(priv, outdir / "private.json")
@@ -91,7 +104,7 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    pk = schemes.public_key_from_json(json.loads(Path(args.pub).read_text()))
+    pk = _load(args.pub, schemes.public_key_from_json)
     message, width = bits.from_str(args.message)
     expected = schemes.message_width(pk.scheme, pk.n)
     if width != expected:
@@ -105,8 +118,8 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    sk = schemes.private_key_from_json(json.loads(Path(args.priv).read_text()))
-    ct = schemes.ciphertext_from_json(json.loads(Path(args.ct).read_text()))
+    sk = _load(args.priv, schemes.private_key_from_json)
+    ct = _load(args.ct, schemes.ciphertext_from_json)
     message = schemes.decrypt(sk, ct)
     print(bits.to_str(message, schemes.message_width(sk.scheme, sk.n)))
     return 0

@@ -64,6 +64,52 @@ def test_evaluate_against_naive_oracle():
             assert f.evaluate(s) == naive_evaluate(f, s)
 
 
+@pytest.mark.parametrize("m", [63, 64, 65, 128, 129, 200])
+def test_evaluate_against_naive_oracle_across_word_boundaries(m):
+    # the evaluator tests monomials 64 input bits at a time; widths on either
+    # side of a word edge catch a wrong word order or a lost top word
+    rng = np.random.default_rng(30 + m)
+    ones = (1 << m) - 1
+    edges = [ones ^ (1 << a) for a in sorted({0, 63, 64, m - 1}) if a < m]
+    for t in (0, 1, m):
+        f = generate_random(m, 2, rng, terms_per_output=t, random_constants=True)
+        # s = all ones fires every monomial; clearing one bit silences those
+        # that hold it
+        fixed = [0, ones, *edges]
+        for s in fixed + [bits.rand_bits(rng, m) for _ in range(50)]:
+            assert f.evaluate(s) == naive_evaluate(f, s)
+        for g in (f.flip_constant(1), AnfFunction.from_json(f.to_json())):
+            for s in fixed + [bits.rand_bits(rng, m) for _ in range(5)]:
+                assert g.evaluate(s) == naive_evaluate(g, s)
+        for s in (0, 1 << 62, (1 << 63) - 1):
+            for x in (np.int64(s), np.uint64(s)):
+                assert f.evaluate(x) == naive_evaluate(f, s)
+        with pytest.raises(ValueError):
+            f.evaluate(ones + 1)
+        with pytest.raises(ValueError):
+            f.evaluate(-1)
+
+
+def test_evaluate_balanced_f2_exhaustively():
+    # 2^12 inputs against the butterfly truth table; the naive oracle is too
+    # slow for all of them, so it checks a random subset
+    rng = np.random.default_rng(31)
+    f = generate_balanced_f2(12, rng)
+    values = [f.evaluate(np.int64(s)) for s in range(1 << 12)]
+    assert values == f.output_bit_table(0).astype(int).tolist()
+    assert sum(values) == 1 << 11
+    for s in rng.integers(0, 1 << 12, size=40):
+        assert values[s] == naive_evaluate(f, int(s))
+
+
+def test_anf_validation_names_the_mask():
+    with pytest.raises(ValueError, match="monomial mask 8 out of range"):
+        AnfFunction(3, 2, (frozenset({1, 7}), frozenset({2, 8})))
+    with pytest.raises(ValueError, match="monomial mask -1 out of range"):
+        AnfFunction(3, 1, (frozenset({-1, 3}),))
+    assert AnfFunction(3, 2, (frozenset({0, 5}), frozenset())).evaluate(3) == 0b10
+
+
 def test_output_bit_table_matches_evaluate():
     rng = np.random.default_rng(21)
     for _ in range(100):

@@ -295,6 +295,33 @@ def test_rejected_inputs_are_one_line_errors(argv, tmp_path, capsys):
     assert not (tmp_path / "k").exists()
 
 
+@pytest.mark.parametrize("argv, culprit, reason", [
+    (["decrypt", "--priv", "{tmp}/nope.json", "--ct", "{tmp}/nope.json"],
+     "nope.json", "No such file or directory"),
+    (["decrypt", "--priv", "{tmp}/keys/private.json", "--ct", "{tmp}/missing.json"],
+     "missing.json", "No such file or directory"),
+    (["encrypt", "--pub", "{tmp}/keys", "--message", "1"], "keys", "Is a directory"),
+    (["decrypt", "--priv", "{tmp}/empty.json", "--ct", "{tmp}/empty.json"],
+     "empty.json", "Expecting value"),
+    (["decrypt", "--priv", "{tmp}/keys/private.json", "--ct", "{tmp}/binary.json"],
+     "binary.json", "'utf-8' codec can't decode"),
+    (["encrypt", "--pub", "{tmp}/empty.json", "--message", "1"], "empty.json", "Expecting value"),
+    (["keygen", "--scheme", "a", "--n", "3", "--out", "{tmp}/empty.json"],
+     "empty.json", "File exists"),
+])
+def test_file_errors_name_the_path(argv, culprit, reason, tmp_path, capsys):
+    run_keygen(tmp_path, "keys")
+    (tmp_path / "empty.json").write_text("")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"qpke {argv[0]}: {tmp_path / culprit}: {reason}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert (tmp_path / "empty.json").read_text() == ""
+
+
 def test_rejected_input_exits_2_without_a_traceback(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
