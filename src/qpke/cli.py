@@ -66,12 +66,12 @@ def _write_text(text: str, out: str | Path | None) -> None:
 
 def _load(path: str, loader):
     """Read, parse and load one key or ciphertext record. A file that cannot
-    be read or is not JSON is a rejected input whose error names the path."""
+    be read, is not JSON or fails the loader's checks is a rejected input
+    whose error names the path."""
     try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        return loader(json.loads(Path(path).read_text()))
+    except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
-    return loader(obj)
 
 
 def _provenance(args, **config) -> dict:

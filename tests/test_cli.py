@@ -306,11 +306,15 @@ def test_rejected_inputs_are_one_line_errors(argv, tmp_path, capsys):
     (["decrypt", "--priv", "{tmp}/keys/private.json", "--ct", "{tmp}/binary.json"],
      "binary.json", "'utf-8' codec can't decode"),
     (["encrypt", "--pub", "{tmp}/empty.json", "--message", "1"], "empty.json", "Expecting value"),
+    (["decrypt", "--priv", "{tmp}/keys/private.json", "--ct", "{tmp}/n9.json"],
+     "n9.json", "n, m: expected integers"),
     (["keygen", "--scheme", "a", "--n", "3", "--out", "{tmp}/empty.json"],
      "empty.json", "File exists"),
 ])
 def test_file_errors_name_the_path(argv, culprit, reason, tmp_path, capsys):
-    run_keygen(tmp_path, "keys")
+    keys = run_keygen(tmp_path, "keys")
+    pub = json.loads((keys / "pub_0000.json").read_text())
+    (tmp_path / "n9.json").write_text(json.dumps({**pub, "n": 9}))
     (tmp_path / "empty.json").write_text("")
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
     capsys.readouterr()
