@@ -9,7 +9,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ __all__ = [
 DEFAULT_BALANCE_ATTEMPTS = 10_000
 BALANCED_MAX_M = 20  # the balance check enumerates all 2^m inputs
 _WORD = (1 << 64) - 1  # evaluation splits masks and inputs into uint64 words
+_BLOCK = 4096  # masks converted per bytes block: bounds the transient objects
 
 
 class GenerationError(RuntimeError):
@@ -73,12 +74,13 @@ class AnfFunction:
         masks = chain.from_iterable(self.terms)
         if self.m <= 64:  # one word: the masks convert unsplit, about 3x faster
             words = np.fromiter(masks, dtype=np.uint64, count=count)[np.newaxis]
-        else:
-            masks = list(masks)
-            words = np.empty(((self.m + 63) // 64, count), dtype=np.uint64)
-            for w in range(len(words)):
-                words[w] = np.fromiter(((mask >> (64 * w)) & _WORD for mask in masks),
-                                       dtype=np.uint64, count=count)
+        else:  # little-endian bytes split a mask into its words in one call
+            nwords = (self.m + 63) // 64
+            words = np.empty((nwords, count), dtype=np.uint64)
+            for start in range(0, count, _BLOCK):
+                raw = b"".join(mask.to_bytes(8 * nwords, "little")
+                               for mask in islice(masks, _BLOCK))
+                words[:, start:start + _BLOCK] = np.frombuffer(raw, "<u8").reshape(-1, nwords).T
         owner = np.repeat(np.arange(self.n_out, dtype=np.min_scalar_type(self.n_out)), lens)
         return words, owner
 

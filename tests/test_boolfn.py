@@ -90,6 +90,16 @@ def test_evaluate_against_naive_oracle_across_word_boundaries(m):
             f.evaluate(-1)
 
 
+def test_evaluate_against_naive_oracle_past_one_block():
+    # a multi-word table is converted a block of 4096 masks at a time
+    rng = np.random.default_rng(32)
+    f = generate_random(65, 1, rng, terms_per_output=5000, random_constants=True)
+    assert len(f.terms[0]) > 4096
+    ones = (1 << 65) - 1
+    for s in (0, ones, ones ^ (1 << 64), ones ^ 1, bits.rand_bits(rng, 65)):
+        assert f.evaluate(s) == naive_evaluate(f, s)
+
+
 def test_evaluate_balanced_f2_exhaustively():
     # 2^12 inputs against the butterfly truth table; the naive oracle is too
     # slow for all of them, so it checks a random subset
