@@ -9,18 +9,19 @@ The superposition-key (pan10) distances are the exception: they are counted
 exactly, with no dense operator, and the dense build is kept as their
 cross-check.
 
-Every mixture is a uniform average of conjugate-coding product states
-Y_j H_k |i> over some index set. `kets` builds those states in one batch
-from a single-qubit table read off `qsym.GATE_ACTIONS`, and `ensemble` sums
-their projectors in one matrix product. The channels E1 and E2 act qubit by
-qubit, with 2x2 matrices read off the same table. As Y_j H_k |i> is
-H_k |i xor j> up to a phase, the protocol route averages over all k by
-applying E2 to the diagonal histogram of i xor j; it builds the b, m1, m2
-and public-key mixtures. The scheme-a ciphertext mixture also has the
-formula route, kets H_w|v> (parity-b v, all w), and cipher_mixture_A
-compares the two entrywise unless told not to. The tests hold `kets` to the
-per-state qsym pipeline, bit for bit, and the protocol route to the
-enumerated kets Y_j H_k |i>.
+Every mixture is a uniform average, over the strings v of one parity p or
+over all strings, of products of 2x2 operators A_a(v_a) built from the
+signal states S_wv = H^w |v><v| H^w (read off `qsym.GATE_ACTIONS`). It
+factors qubit by qubit: the sum over parity-p v of (x)_a A_a(v_a) is
+(1/2) [(x)_a (A_a0 + A_a1) + (-1)^p (x)_a (A_a0 - A_a1)]. `_sector_mixture`
+builds sigma_b, every ciphertext and public-key mixture and scheme b's
+fixed-k public key this way. As Y_j H_k |i> is H_k |i xor j> up to a phase,
+averaging over all k puts (S_0v + S_1v)/2 on each qubit, v = i xor j.
+
+The channels E1 and E2 are the second, independent route: dense maps
+applied one qubit at a time, so the channel identity E2(E1(sigma_b)) =
+rho_b compares the two. The tests hold the sector sums to the per-state
+qsym pipeline.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import numpy as np
 from . import bits, qmat
 from .boolfn import generate_balanced_f2, generate_random
 from .qsym import Z0, Z1, QubitSymbol
-from .schemes import SCHEMES, SchemeId, message_width
+from .schemes import SchemeId, message_width
 
 __all__ = [
     "SecurityReport",
@@ -45,7 +46,6 @@ __all__ = [
     "sigma_bound_report",
     "cipher_mixture",
     "cipher_mixture_A",
-    "cipher_mixture_A_sampled",
     "cipher_mixture_uniform",
     "pubkey_mixture_fixed_k",
     "pubkey_mixture_A",
@@ -135,49 +135,37 @@ def _gate(*gates: str) -> np.ndarray:
                      for z in (Z0, Z1)]).T
 
 
-# Single-qubit kets Y^j H^k |i>, row 4i + 2k + j.
-_QUBIT_KETS = np.array([_gate("H" if k else "I", "Y" if j else "I")[:, i]
-                        for i in (0, 1) for k in (0, 1) for j in (0, 1)])
+# Signal-state projectors S[w][v] = H^w |v><v| H^w, and the per-qubit
+# average over the Hadamard mask, (S[0][v] + S[1][v]) / 2, as a pair over v.
+_SIGNAL = [[np.outer(ket, ket.conj()) for ket in _gate("H" if w else "I").T]
+           for w in (0, 1)]
+_TWIRLED = tuple((_SIGNAL[0][v] + _SIGNAL[1][v]) / 2 for v in (0, 1))
 # Kraus operators of the channels: E1 conjugates by U = HZ, E2 by I and H.
 _E1_OPS, _E2_OPS = [_gate("Z", "H")], [_gate("I"), _gate("H")]
 
 
-def kets(n: int, i, k=0, j=0) -> np.ndarray:
-    """One row Y_j H_k |i> per entry of the int arrays i, k, j, which must
-    broadcast together; qubit 0 is the most significant factor, and every
-    row equals ProductState.from_bits(i, n).apply_hk(k).apply_yj(j).to_vector()."""
+def _sector_mixture(pairs, parity=None) -> np.ndarray:
+    """Uniform average of (x)_a pairs[a][v_a] over the n-bit strings v of
+    the given parity (over all of them when parity is None), qubit 0 the
+    most significant factor: (P + (-1)^parity M) / 2^n with
+    P = (x)_a (A_a0 + A_a1) and M = (x)_a (A_a0 - A_a1), or P / 2^n."""
+    n = len(pairs)
     qmat.check_dim(1 << n)
-    i, k, j = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (i, k, j)))
-
-    def factor(a: int) -> np.ndarray:
-        s = n - 1 - a
-        code = ((i >> s) & 1) << 2 | ((k >> s) & 1) << 1 | ((j >> s) & 1)
-        return _QUBIT_KETS[code.ravel()]
-
-    out = factor(0)
-    for a in range(1, n):
-        out = (out[:, :, None] * factor(a)[:, None, :]).reshape(len(out), -1)
-    return out
-
-
-def ensemble(vecs: np.ndarray, weight) -> np.ndarray:
-    """sum_r weight |v_r><v_r| over the rows v_r of vecs."""
-    return vecs.T @ (weight * vecs.conj())
+    total = reduce(np.kron, [a0 + a1 for a0, a1 in pairs])
+    if parity is not None:
+        diff = reduce(np.kron, [a0 - a1 for a0, a1 in pairs])
+        total = total + diff if parity == 0 else total - diff
+    return total / (1 << n)
 
 
 def identity_mixture(n: int) -> np.ndarray:
     return np.eye(1 << n, dtype=complex) / (1 << n)
 
 
-def _parity_class(n: int, b: int):
-    return [v for v in range(1 << n) if bits.parity(v) == b]
-
-
 def sigma_b(n: int, b: int) -> np.ndarray:
     """Uniform mixture of basis-only products |phi_{j_1}> ... |phi_{j_n}>
     (phi_0 = |0>, phi_1 = |+>) over the parity-b basis strings j."""
-    qmat.check_dim(1 << n)
-    return ensemble(kets(n, 0, _parity_class(n, b)), 1.0 / (1 << (n - 1)))
+    return _sector_mixture([(_SIGNAL[0][0], _SIGNAL[1][0])] * n, b)
 
 
 def sigma_bound_report(n: int) -> SecurityReport:
@@ -190,72 +178,29 @@ def sigma_bound_report(n: int) -> SecurityReport:
 # ---------------------------------------------------------------------------
 # Ciphertext mixtures.
 
-def _protocol_cipher_average(n: int, i_values, j_values) -> np.ndarray:
-    """Average of Y_j H_k |i> over all k and the given i and j sets. Up to a
-    phase Y_j H_k |i> = H_k |i xor j>, so this is E2 of the diagonal
-    histogram of i xor j."""
-    qmat.check_dim(1 << n)
-    x = np.bitwise_xor.outer(np.asarray(i_values), np.asarray(j_values)).ravel()
-    return channel_e2(np.diag(np.bincount(x, minlength=1 << n) / x.size))
-
-
-def cipher_mixture_A(n: int, b: int, cross_check: bool = True) -> np.ndarray:
+def cipher_mixture_A(n: int, b: int) -> np.ndarray:
     """Ciphertext ensemble of the parity scheme for message bit b:
     (1/2^(2n-1)) sum over parity-b value strings v and all basis strings w of
-    the product of signal states psi_{v_a w_a} = H^{w_a} |v_a>.
-
-    With cross_check the same operator is rebuilt by the protocol route
-    (E2 of the even-i, parity-b-j histogram of i xor j) and both routes must
-    agree entrywise to 1e-10.
-    """
-    qmat.check_dim(1 << n)
-    values = _parity_class(n, b)
-    weight = 1.0 / (1 << (2 * n - 1))
-    rho = sum(ensemble(kets(n, values, w), weight) for w in range(1 << n))
-    if cross_check:
-        sim = _protocol_cipher_average(n, _parity_class(n, 0), _parity_class(n, b))
-        dev = float(np.max(np.abs(rho - sim)))
-        if dev > 1e-10:
-            raise AssertionError(f"formula and protocol mixtures disagree by {dev}")
-    return rho
-
-
-def cipher_mixture_A_sampled(n: int, b: int, num_samples: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Finite-sample route: draw explicit ANF keys instead of averaging over
-    a uniform k. Converges to cipher_mixture_A as samples grow."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    m = 2 * n
-    kij = []
-    for _ in range(num_samples):
-        f = generate_random(m, n, rng)
-        k = f.evaluate(bits.rand_bits(rng, m))
-        i = bits.rand_parity_bits(rng, n, 0)
-        j = bits.rand_parity_bits(rng, n, b)
-        kij.append((k, i, j))
-    k, i, j = np.array(kij).T
-    return ensemble(kets(n, i, k, j), 1.0 / num_samples)
+    the product of signal states psi_{v_a w_a} = H^{w_a} |v_a>."""
+    return _sector_mixture([_TWIRLED] * n, b)
 
 
 def cipher_mixture_uniform(scheme: SchemeId, n: int, message: int) -> np.ndarray:
     """Ciphertext ensemble for the schemes whose encoded value i is uniform
-    over all n-bit strings (b, m1, m2). Built by the protocol route; the
-    closed form is the maximally mixed state."""
+    over all n-bit strings (b, m1, m2): whatever the message mask, i xor j
+    is uniform too. The closed form is the maximally mixed state."""
     scheme = SchemeId(scheme)
     if scheme not in (SchemeId.B, SchemeId.M1, SchemeId.M2):
         raise ValueError(f"no uniform cipher mixture for scheme {scheme}")
     if not 0 <= message < (1 << message_width(scheme, n)):
         raise ValueError(f"message {message} out of range for scheme {scheme.value}")
-    masks = [message] if SCHEMES[scheme].wide else _parity_class(n, message)
-    return _protocol_cipher_average(n, range(1 << n), masks)
+    return _sector_mixture([_TWIRLED] * n)
 
 
 def cipher_mixture(scheme: SchemeId, n: int, message: int) -> np.ndarray:
-    """Ciphertext ensemble of any scheme with a distinguishing game: the
-    parity scheme's formula route for a, the protocol route otherwise."""
+    """Ciphertext ensemble of any scheme with a distinguishing game."""
     if SchemeId(scheme) == SchemeId.A:
-        return cipher_mixture_A(n, message, cross_check=False)
+        return cipher_mixture_A(n, message)
     return cipher_mixture_uniform(scheme, n, message)
 
 
@@ -264,15 +209,14 @@ def cipher_mixture(scheme: SchemeId, n: int, message: int) -> np.ndarray:
 
 def pubkey_mixture_fixed_k(n: int, k: int) -> np.ndarray:
     """Average public-key state H_k |i><i| H_k over uniform i, k fixed."""
-    qmat.check_dim(1 << n)
-    return ensemble(kets(n, np.arange(1 << n), k), 1.0 / (1 << n))
+    return _b_pubkey_state(n, k, None)
 
 
 def pubkey_mixture_A(n: int) -> SecurityReport:
     """How far the parity-restricted public-key ensemble sits from maximally
     mixed: D(avg over k of H_k (even-parity mixture) H_k, I/2^n). There is no
     closed-form target; the row is informational."""
-    rho = _protocol_cipher_average(n, _parity_class(n, 0), [0])
+    rho = _sector_mixture([_TWIRLED] * n, 0)
     d = qmat.trace_distance(rho, identity_mixture(n))
     return SecurityReport("pubkey_leakage", "a", n, None, "uniform_k", None, d, None)
 
@@ -281,7 +225,7 @@ def pubkey_mixture_B(n: int) -> SecurityReport:
     """Same computation with both parity sectors weighted equally (the
     balanced F2 makes the encoded value uniform); the ensemble collapses to
     I/2^n exactly."""
-    rho = _protocol_cipher_average(n, range(1 << n), [0])
+    rho = _sector_mixture([_TWIRLED] * n)
     d = qmat.trace_distance(rho, identity_mixture(n))
     return SecurityReport("pubkey_leakage", "b", n, None, "uniform_k", None,
                           d, 0.0, tol=1e-10)
@@ -320,7 +264,7 @@ def channel_identity_report(n: int) -> SecurityReport:
     dev = 0.0
     for b in (0, 1):
         lhs = channel_e2(channel_e1(sigma_b(n, b)))
-        rhs = cipher_mixture_A(n, b, cross_check=False)
+        rhs = cipher_mixture_A(n, b)
         dev = max(dev, float(np.max(np.abs(lhs - rhs))))
     return SecurityReport("channel_identity_dev", "a", n, None, "uniform_k", None,
                           dev, 0.0, tol=1e-10)
@@ -369,12 +313,12 @@ class MixtureSpec:
             raise ValueError("n*(copies+1) must stay <= 10 to keep matrices small")
 
 
-def _b_pubkey_state(n: int, k: int, p: int) -> np.ndarray:
-    """H_k (uniform mixture of parity-p strings) H_k: the scheme-b public key
-    for key material (k, p = F2(s)). Masking its i with a parity-b j leaves
-    i xor j uniform on parity p xor b, so the ciphertext of bit b is this
-    state at parity p ^ b."""
-    return ensemble(kets(n, _parity_class(n, p), k), 1.0 / (1 << (n - 1)))
+def _b_pubkey_state(n: int, k: int, p: int | None) -> np.ndarray:
+    """H_k (uniform mixture of parity-p strings, of all strings when p is
+    None) H_k: the scheme-b public key for key material (k, p = F2(s)).
+    Masking its i with a parity-b j leaves i xor j uniform on parity p xor b,
+    so the ciphertext of bit b is this state at parity p ^ b."""
+    return _sector_mixture([_SIGNAL[bits.bit_at(k, a, n)] for a in range(n)], p)
 
 
 def _joint_state(n: int, t: int, b: int, pairs_and_weights, shared: bool) -> np.ndarray:

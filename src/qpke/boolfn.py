@@ -131,12 +131,14 @@ class AnfFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AnfFunction":
-        m = obj["m"]
+        m, n_out = obj["m"], obj["n_out"]
+        if not (type(m) is int and type(n_out) is int):
+            raise ValueError(f"m, n_out: expected integers, got m={m!r}, n_out={n_out!r}")
         terms = tuple(frozenset(bits.from_str(t)[0] for t in tset) for tset in obj["terms"])
         constants, width = bits.from_str(obj["constants"])
-        if width != obj["n_out"]:
+        if width != n_out:
             raise ValueError("constants width does not match n_out")
-        return cls(m, obj["n_out"], terms, constants)
+        return cls(m, n_out, terms, constants)
 
 
 def generate_random(m: int, n_out: int, rng: np.random.Generator,

@@ -63,6 +63,13 @@ _BASIS_VECTORS = {
 _I_POW = (1, 1j, -1, -1j)
 
 
+def _json_phase(value, name: str) -> int:
+    """A phase exponent read from JSON: an int, not a float or a bool."""
+    if type(value) is not int:
+        raise ValueError(f"{name}: expected an integer exponent of i, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class QubitSymbol:
     """One qubit: a basis symbol times i**phase."""
@@ -186,8 +193,8 @@ class ProductState:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProductState":
-        qs = tuple(QubitSymbol(b, p) for b, p in obj["qubits"])
-        return cls(qs, obj.get("global_phase", 0))
+        qs = tuple(QubitSymbol(b, _json_phase(p, "phase")) for b, p in obj["qubits"])
+        return cls(qs, _json_phase(obj.get("global_phase", 0), "global_phase"))
 
 
 @dataclass(frozen=True)
@@ -240,4 +247,4 @@ class TwoTermState:
         other, n2 = bits.from_str(obj["k_xor"])
         if n2 != n:
             raise ValueError("i and k_xor widths differ")
-        return cls(n, i, i ^ other, obj.get("rel_phase", 0))
+        return cls(n, i, i ^ other, _json_phase(obj.get("rel_phase", 0), "rel_phase"))

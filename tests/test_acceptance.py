@@ -56,7 +56,7 @@ def test_criterion_02_channel_identity():
     for n in range(1, 6):
         for b in (0, 1):
             lhs = channel_e2(channel_e1(sigma_b(n, b)))
-            rhs = cipher_mixture_A(n, b, cross_check=False)
+            rhs = cipher_mixture_A(n, b)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     _verdict(2, "channel-identity", worst < 1e-10,
              f"max entrywise |E2(E1(sigma_b)) - rho_b| = {worst:.3e}",
@@ -69,8 +69,7 @@ def test_criterion_03_scheme_a_cipher_bound():
     eq_dev = None
     worst_slack = -1.0
     for n in range(1, 7):
-        d = qmat.trace_distance(cipher_mixture_A(n, 0, cross_check=False),
-                                cipher_mixture_A(n, 1, cross_check=False))
+        d = qmat.trace_distance(cipher_mixture_A(n, 0), cipher_mixture_A(n, 1))
         ok &= d <= SQ ** n + 1e-9
         worst_slack = max(worst_slack, d - SQ ** n)
         if n == 1:
@@ -203,8 +202,8 @@ def test_criterion_09_statistical_checks():
         details.append(f"owt n={n}: {abs(rate - p) / sigma:.2f} sigma")
     samples = 100_000
     for n in range(1, 5):
-        rho0 = cipher_mixture_A(n, 0, cross_check=False)
-        rho1 = cipher_mixture_A(n, 1, cross_check=False)
+        rho0 = cipher_mixture_A(n, 0)
+        rho1 = cipher_mixture_A(n, 1)
         analytic, empirical = helstrom_advantage(rho0, rho1, samples=samples, rng=rng)
         sigma = np.sqrt(analytic * (1 - analytic) / samples)
         ok &= abs(empirical - analytic) <= 3 * sigma

@@ -4,23 +4,24 @@ Frozen constants in this file were computed from the exact enumerations
 before being pinned; anything labeled "frozen" is a regression anchor, not
 an independently meaningful tolerance.
 """
+from collections import Counter
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from qpke import analysis, qmat
+from qpke import analysis, bits, qmat
 from qpke.analysis import (MixtureSpec, SecurityReport, channel_e1, channel_e2,
                            channel_identity_report, cipher_distance_report,
-                           cipher_mixture_A, cipher_mixture_A_sampled,
-                           cipher_mixture_uniform, helstrom_advantage,
+                           cipher_mixture_A, cipher_mixture_uniform, helstrom_advantage,
                            helstrom_projector, identity_mixture,
                            multicopy_distance, pan10_mixture_distance,
                            pan10_rho_k, pubkey_mixture_A, pubkey_mixture_B,
                            report_ok, reports_to_csv, sigma_b,
                            sigma_bound_report)
+from qpke.boolfn import generate_random
 from qpke.qsym import ProductState, TwoTermState
-from qpke.schemes import SchemeId
+from qpke.schemes import SCHEMES, SchemeId, message_width
 
 SQ = np.sqrt(2) / 2
 
@@ -38,17 +39,44 @@ def random_density(rng, dim):
     return rho / np.trace(rho)
 
 
-# --- ket batches ------------------------------------------------------------
+# --- the sector sum against the per-state qsym pipeline ---------------------
 
-def test_kets_match_per_state_qsym_pipeline():
-    # the per-state symbolic route is the independent oracle for the batch
+def _parity_strings(n, p):
+    """The n-bit strings of parity p, or all of them when p is None."""
+    return [v for v in range(1 << n) if p is None or bin(v).count("1") % 2 == p]
+
+
+def _qsym_average(n, i_values, k_values, j_values):
+    """Uniform average of the projectors onto Y_j H_k |i>, each state evolved
+    by the symbolic gate table one at a time. A product state's phases are
+    global, so its projector depends only on its basis string: each distinct
+    string is made dense once, weighted by how many states share it."""
+    counts, states = Counter(), {}
+    for i in i_values:
+        computational = ProductState.from_bits(i, n)
+        for k in k_values:
+            hk = computational.apply_hk(k)
+            for j in j_values:
+                state = hk.apply_yj(j)
+                key = state.basis_string()
+                counts[key] += 1
+                states.setdefault(key, state)
+    return sum(c * states[key].to_density() for key, c in counts.items()) / counts.total()
+
+
+def test_sector_mixture_matches_qsym_densities():
+    # pairs (H^{k_a}|0><0|H^{k_a}, H^{k_a}|1><1|H^{k_a}) in random bases k,
+    # averaged over one parity sector or over every string
+    rng = np.random.default_rng(56)
+    signal = [[ProductState.from_bits(v, 1).apply_hk(w).to_density() for v in (0, 1)]
+              for w in (0, 1)]
     for n in range(1, 5):
-        dim = 1 << n
-        i, k, j = (g.ravel() for g in np.meshgrid(*[np.arange(dim)] * 3, indexing="ij"))
-        rows = analysis.kets(n, i, k, j)
-        for row, ii, kk, jj in zip(rows, i, k, j):
-            ref = ProductState.from_bits(int(ii), n).apply_hk(int(kk)).apply_yj(int(jj))
-            assert np.array_equal(row, ref.to_vector())
+        for k in [0, (1 << n) - 1, *rng.integers(0, 1 << n, size=3).tolist()]:
+            pairs = [signal[bits.bit_at(k, a, n)] for a in range(n)]
+            for p in (0, 1, None):
+                want = _qsym_average(n, _parity_strings(n, p), [k], [0])
+                got = analysis._sector_mixture(pairs, p)
+                assert np.max(np.abs(got - want)) < 1e-14, (n, k, p)
 
 
 @pytest.mark.parametrize("build", [
@@ -56,8 +84,10 @@ def test_kets_match_per_state_qsym_pipeline():
     lambda: cipher_mixture_A(5, 0),
     lambda: cipher_mixture_uniform(SchemeId.B, 5, 0),
     lambda: analysis.pubkey_mixture_fixed_k(5, 0),
+    lambda: analysis._b_pubkey_state(5, 0, 0),
+    lambda: pubkey_mixture_A(5),
 ], ids=["sigma_b", "cipher_mixture_A", "cipher_mixture_uniform",
-        "pubkey_mixture_fixed_k"])
+        "pubkey_mixture_fixed_k", "_b_pubkey_state", "pubkey_mixture_A"])
 def test_dense_builders_honour_dim_cap(monkeypatch, build):
     monkeypatch.setenv("QPKE_DIM_CAP", "16")
     with pytest.raises(qmat.DimensionCapError):
@@ -88,18 +118,20 @@ def test_cipher_mixture_a_single_qubit_values():
 
 
 def test_cipher_mixture_a_dual_routes_agree():
-    # the formula route and the protocol-enumeration route are compared
-    # inside cipher_mixture_A; a disagreement raises
+    # the sector sum against the ciphertexts Y_j H_k |i> the scheme sends:
+    # even i, every k, parity-b j
     for n in range(1, 5):
         for b in (0, 1):
-            rho = cipher_mixture_A(n, b, cross_check=True)
+            rho = cipher_mixture_A(n, b)
+            want = _qsym_average(n, _parity_strings(n, 0), range(1 << n),
+                                 _parity_strings(n, b))
+            assert np.max(np.abs(rho - want)) < 1e-14, (n, b)
             qmat.assert_density_operator(rho)
 
 
 def test_cipher_distance_a_is_exactly_the_bound():
     for n in range(1, 6):
-        d = qmat.trace_distance(cipher_mixture_A(n, 0, cross_check=False),
-                                cipher_mixture_A(n, 1, cross_check=False))
+        d = qmat.trace_distance(cipher_mixture_A(n, 0), cipher_mixture_A(n, 1))
         assert abs(d - SQ ** n) < 1e-12
         assert report_ok(cipher_distance_report(SchemeId.A, n))
 
@@ -116,25 +148,24 @@ def test_uniform_cipher_mixtures_are_maximally_mixed():
                 assert dev < 1e-13
 
 
-def _parity_strings(n, p):
-    return np.array([v for v in range(1 << n) if bin(v).count("1") % 2 == p])
-
-
-def _enumerated_protocol_average(n, i_values, j_values):
-    """Average of the kets Y_j H_k |i> over all k, i and j, one batch per k."""
-    weight = 1.0 / (len(i_values) * len(j_values) * (1 << n))
-    return sum(analysis.ensemble(analysis.kets(n, np.asarray(i_values)[:, None], k, j_values),
-                                 weight) for k in range(1 << n))
-
-
 @pytest.mark.parametrize("n", range(1, 6))
 def test_protocol_average_matches_enumerated_kets(n):
-    evens, odds = _parity_strings(n, 0), _parity_strings(n, 1)
-    for i_values in (np.arange(1 << n), evens, odds):
-        for j_values in (evens, odds, [0], [1], [(1 << n) - 1]):
-            want = _enumerated_protocol_average(n, i_values, j_values)
-            got = analysis._protocol_cipher_average(n, i_values, j_values)
-            assert np.max(np.abs(got - want)) < 1e-14, (n, list(i_values), list(j_values))
+    # every mixture against the states each scheme really publishes: Y_j H_k |i>
+    # over its i set, every k and its j set
+    every = range(1 << n)
+    for scheme in (SchemeId.A, SchemeId.B, SchemeId.M1, SchemeId.M2):
+        i_set = _parity_strings(n, 0) if scheme == SchemeId.A else every
+        messages = {0, 1, (1 << message_width(scheme, n)) - 1}
+        for message in messages:
+            j_set = [message] if SCHEMES[scheme].wide else _parity_strings(n, message)
+            want = _qsym_average(n, i_set, every, j_set)
+            got = analysis.cipher_mixture(scheme, n, message)
+            assert np.max(np.abs(got - want)) < 1e-14, (scheme, n, message)
+    # the public keys H_k |i>: even i for a, every i for b
+    eye = identity_mixture(n)
+    for report, i_set in ((pubkey_mixture_A, _parity_strings(n, 0)), (pubkey_mixture_B, every)):
+        want = qmat.trace_distance(_qsym_average(n, i_set, every, [0]), eye)
+        assert abs(report(n).computed - want) < 1e-14, (report.__name__, n)
 
 
 def test_uniform_cipher_mixture_validation():
@@ -155,26 +186,36 @@ def test_cipher_distance_reports_b_m1_m2():
 
 
 def test_cipher_mixture_routes_by_scheme():
-    assert np.array_equal(analysis.cipher_mixture(SchemeId.A, 3, 1),
-                          cipher_mixture_A(3, 1, cross_check=False))
+    assert np.array_equal(analysis.cipher_mixture(SchemeId.A, 3, 1), cipher_mixture_A(3, 1))
     assert np.array_equal(analysis.cipher_mixture(SchemeId.M2, 2, 3),
                           cipher_mixture_uniform(SchemeId.M2, 2, 3))
     with pytest.raises(ValueError):
         analysis.cipher_mixture(SchemeId.PAN10, 2, 0)
 
 
+def _cipher_mixture_a_sampled(n, b, num_samples, rng):
+    """Finite-sample scheme-a ciphertext mixture: each sample draws an
+    explicit ANF key f, a seed s, an even i and a parity-b j, in that order,
+    and contributes the qsym density of Y_j H_{f(s)} |i>."""
+    m = 2 * n
+    counts = Counter()
+    for _ in range(num_samples):
+        f = generate_random(m, n, rng)
+        k = f.evaluate(bits.rand_bits(rng, m))
+        i = bits.rand_parity_bits(rng, n, 0)
+        j = bits.rand_parity_bits(rng, n, b)
+        counts[k, i, j] += 1
+    return sum(c * ProductState.from_bits(i, n).apply_hk(k).apply_yj(j).to_density()
+               for (k, i, j), c in counts.items()) / num_samples
+
+
 def test_sampled_mixture_converges():
     rng = np.random.default_rng(42)
-    exact = cipher_mixture_A(2, 0, cross_check=False)
-    dev_small = np.max(np.abs(cipher_mixture_A_sampled(2, 0, 100, rng) - exact))
-    dev_large = np.max(np.abs(cipher_mixture_A_sampled(2, 0, 10_000, rng) - exact))
+    exact = cipher_mixture_A(2, 0)
+    dev_small = np.max(np.abs(_cipher_mixture_a_sampled(2, 0, 100, rng) - exact))
+    dev_large = np.max(np.abs(_cipher_mixture_a_sampled(2, 0, 10_000, rng) - exact))
     assert dev_large < dev_small
     assert dev_large < 0.05  # frozen: 0.033 at this seed
-
-
-def test_sampled_mixture_needs_samples():
-    with pytest.raises(ValueError, match="num_samples"):
-        cipher_mixture_A_sampled(2, 0, 0, np.random.default_rng(0))
 
 
 # --- public-key mixtures ----------------------------------------------------
@@ -250,15 +291,12 @@ def test_channel_e2_is_idempotent():
 # --- multi-copy joint states ------------------------------------------------
 
 def test_b_cipher_state_is_the_pubkey_state_at_parity_p_xor_b():
-    # Y_j-masked ciphertext kets of parity-p values and parity-b masks
+    # Y_j-masked ciphertexts of parity-p values and parity-b masks
     for n in range(1, 5):
-        weight = 1.0 / (1 << (2 * n - 2))
         for k in range(1 << n):
             for p in (0, 1):
-                i = _parity_strings(n, p)[:, None]
                 for b in (0, 1):
-                    want = analysis.ensemble(analysis.kets(n, i, k, _parity_strings(n, b)),
-                                             weight)
+                    want = _qsym_average(n, _parity_strings(n, p), [k], _parity_strings(n, b))
                     got = analysis._b_pubkey_state(n, k, p ^ b)
                     assert np.max(np.abs(got - want)) < 1e-14, (n, k, p, b)
 
@@ -416,8 +454,8 @@ def test_helstrom_projector_properties():
 
 def test_helstrom_empirical_tracks_analytic():
     rng = np.random.default_rng(55)
-    rho0 = cipher_mixture_A(2, 0, cross_check=False)
-    rho1 = cipher_mixture_A(2, 1, cross_check=False)
+    rho0 = cipher_mixture_A(2, 0)
+    rho1 = cipher_mixture_A(2, 1)
     analytic, empirical = helstrom_advantage(rho0, rho1, samples=40_000, rng=rng)
     assert abs(analytic - 0.75) < 1e-12
     sigma = np.sqrt(analytic * (1 - analytic) / 40_000)

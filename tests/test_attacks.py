@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qpke import bits
-from qpke.analysis import cipher_mixture, helstrom_projector, kets
+from qpke.analysis import cipher_mixture, helstrom_projector
 from qpke.attacks import (ATTACK_CSV_HEADER, GAME_SCHEMES, AttackOutcome,
                           DistinguisherOutcome, ciphertext_distinguisher,
                           owt_inversion_baseline, pan10_key_recovery,
                           pan10_measure_equation, pan10_shared_key_stream)
-from qpke.qsym import TwoTermState
+from qpke.qsym import ProductState, TwoTermState
 from qpke.schemes import SCHEMES, SchemeId, keygen, message_width
 
 
@@ -236,7 +236,8 @@ def test_every_ciphertext_is_accepted_with_probability_tr_p_rho(scheme, n):
         j_set = [message] if SCHEMES[scheme].wide else \
             [v for v in strings if bits.parity(v) == message]
         i, k, j = (a.ravel() for a in np.meshgrid(i_set, strings, j_set, indexing="ij"))
-        vecs = kets(n, i, k, j)
+        vecs = np.array([ProductState.from_bits(ii, n).apply_hk(kk).apply_yj(jj).to_vector()
+                         for ii, kk, jj in zip(i.tolist(), k.tolist(), j.tolist())])
         dense = np.einsum("rd,rd->r", vecs.conj() @ proj, vecs).real
         accept = float(np.trace(proj @ rho[b]).real)
         assert np.max(np.abs(dense - accept)) <= 1e-14

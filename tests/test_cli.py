@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -324,6 +325,49 @@ def test_file_errors_name_the_path(argv, culprit, reason, tmp_path, capsys):
     assert captured.err.startswith(f"qpke {argv[0]}: {tmp_path / culprit}: {reason}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert (tmp_path / "empty.json").read_text() == ""
+
+
+def _set(path, value):
+    """An edit that sets obj[path[0]][path[1]]... to value."""
+    def edit(obj):
+        reduce(lambda o, key: o[key], path[:-1], obj)[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("scheme, field, edit, reason", [
+    ("a", "ct", _set(["quantum", "qubits", 0, 1], 1.5),
+     "phase: expected an integer exponent of i, got 1.5"),
+    ("a", "ct", _set(["quantum", "global_phase"], 0.25),
+     "global_phase: expected an integer exponent of i, got 0.25"),
+    ("a", "ct", _set(["quantum", "qubits", 2, 1], True),
+     "phase: expected an integer exponent of i, got True"),
+    ("pan10", "ct", _set(["quantum", "rel_phase"], 2.0),
+     "rel_phase: expected an integer exponent of i, got 2.0"),
+    ("b", "priv", _set(["f2", "n_out"], True),
+     "m, n_out: expected integers, got m=6, n_out=True"),
+    ("b", "priv", _set(["f1", "m"], 6.0),
+     "m, n_out: expected integers, got m=6.0, n_out=3"),
+], ids=["qubit-phase-float", "global-phase-float", "qubit-phase-bool", "rel-phase-float",
+        "n_out-bool", "m-float"])
+def test_non_integer_phases_and_widths_name_the_file(scheme, field, edit, reason,
+                                                      tmp_path, capsys):
+    keys = tmp_path / "keys"
+    assert main(["keygen", "--scheme", scheme, "--n", "3", "--seed", "7",
+                 "--out", str(keys)]) == 0
+    files = {"priv": keys / "private.json", "ct": tmp_path / "ct.json"}
+    assert main(["encrypt", "--pub", str(keys / "pub_0000.json"), "--message", "1",
+                 "--out", str(files["ct"])]) == 0
+    obj = json.loads(files[field].read_text())
+    edit(obj)
+    files[field] = tmp_path / "bad.json"
+    files[field].write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["decrypt", "--priv", str(files["priv"]), "--ct", str(files["ct"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"qpke decrypt: {files[field]}: ")
+    assert reason in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_rejected_input_exits_2_without_a_traceback(tmp_path):
