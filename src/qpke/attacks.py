@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bits, qmat
 from .analysis import cipher_mixture, csv_cell, helstrom_projector
-from .boolfn import RandomOracle, gf2_nullspace
+from .boolfn import RandomOracle, gf2_insert, gf2_nullspace
 from .qsym import TwoTermState
 from .schemes import SCHEMES, SchemeId, copy_public_key, keygen, message_width
 
@@ -146,8 +146,10 @@ def pan10_key_recovery(pk_stream, max_copies: int, rng: np.random.Generator,
     public key: measure each copy in the Hadamard basis, collect the linear
     equations y . k = 0, and stop once their GF(2) nullspace is a single
     line. That line must be k, because every outcome is orthogonal to k and
-    k is nonzero by construction."""
+    k is nonzero by construction. Each equation is inserted into one
+    reduced echelon basis, so the nullspace is a line at rank n - 1."""
     equations: list[int] = []
+    pivots: dict[int, int] = {}
     true_k = None
     n = None
     copies = 0
@@ -159,11 +161,11 @@ def pan10_key_recovery(pk_stream, max_copies: int, rng: np.random.Generator,
         true_k = state.k  # ground truth, used only for the verdict
         copies += 1
         equations.append(pan10_measure_equation(state, rng))
-        basis = gf2_nullspace(equations, n)
-        if not basis:
+        gf2_insert(pivots, equations[-1], n)
+        if len(pivots) == n:
             raise RuntimeError("equations became contradictory; impossible for honest keys")
-        if len(basis) == 1:
-            recovered = basis[0]
+        if len(pivots) == n - 1:
+            recovered, = gf2_nullspace(pivots.values(), n)
             return AttackOutcome("pan10-key", n, recovered == true_k, copies,
                                  recovered, equations, seed)
     if n is None:

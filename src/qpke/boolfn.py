@@ -7,10 +7,11 @@ outputs are ints, handled MSB-first like everywhere else in this package.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, islice
-from typing import Callable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "generate_random",
     "generate_balanced_f2",
     "linearize_monomial",
+    "gf2_insert",
     "gf2_nullspace",
     "RandomOracle",
 ]
@@ -101,20 +103,6 @@ class AnfFunction:
             out ^= 1 << (self.n_out - 1 - b)
         return out
 
-    def output_bit_table(self, b: int) -> np.ndarray:
-        """Truth table of output bit b over all 2^m inputs, by the subset-XOR
-        transform of its monomial coefficient vector."""
-        coeffs = np.zeros(1 << self.m, dtype=np.uint8)
-        coeffs[np.fromiter(self.terms[b], dtype=np.int64)] = 1
-        table = _anf_truth_table(coeffs, self.m).astype(bool)
-        if bits.bit_at(self.constants, b, self.n_out):
-            table = ~table
-        return table
-
-    def is_balanced_bit(self, b: int) -> bool:
-        table = self.output_bit_table(b)
-        return int(np.count_nonzero(table)) == (1 << (self.m - 1))
-
     def flip_constant(self, b: int = 0) -> "AnfFunction":
         """The function with output bit b complemented (f -> f xor 1)."""
         return AnfFunction(self.m, self.n_out, self.terms,
@@ -147,30 +135,46 @@ def generate_random(m: int, n_out: int, rng: np.random.Generator,
     """Random ANF built from coin tosses: each of the terms_per_output
     monomials of each output bit is drawn by m independent coin tosses
     (the toss for s_a decides whether s_a appears in the monomial).
-    Duplicate monomials cancel in pairs, matching XOR algebra.
+    Duplicate monomials cancel in pairs, matching XOR algebra. All masks
+    come from one bits.rand_bits_many call, output bit 0's first.
     """
     if terms_per_output is None:
         terms_per_output = m
+    t = terms_per_output
+    masks = bits.rand_bits_many(rng, m, n_out * t)
     term_sets = []
-    for _ in range(n_out):
-        acc: set[int] = set()
-        for _ in range(terms_per_output):
-            mask = bits.rand_bits(rng, m)
-            acc.symmetric_difference_update({mask})
-        term_sets.append(frozenset(acc))
+    for b in range(n_out):
+        row = masks[b * t:(b + 1) * t]
+        tset = frozenset(row)
+        if len(tset) < len(row):  # keep the masks drawn an odd number of times
+            tset = frozenset(mask for mask, c in Counter(row).items() if c & 1)
+        term_sets.append(tset)
     constants = bits.rand_bits(rng, n_out) if random_constants else 0
     return AnfFunction(m, n_out, tuple(term_sets), constants)
 
 
-def _anf_truth_table(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Truth table over all 2^m inputs of the ANF whose monomial coefficient
-    vector is coeffs (coeffs[mask] = 1 iff the monomial with variable set
-    `mask` is present). Subset-XOR transform, m butterfly passes."""
-    table = coeffs.copy()
-    for d in range(m):
-        view = table.reshape(-1, 2, 1 << d)
+# In-word Moebius passes: bit x of a word takes in bit x - 2^d wherever bit d
+# of x is set, for d = 0..5.
+_IN_WORD = tuple((1 << d, np.uint64(sum(1 << x for x in range(64) if x >> d & 1)))
+                 for d in range(6))
+
+
+def _anf_weight(coeffs: np.ndarray, m: int) -> int:
+    """Hamming weight of the truth table over all 2^m inputs of the ANF with
+    monomial coefficient vector coeffs (coeffs[mask] = 1 iff the monomial
+    with variable set `mask` is present). Subset-XOR (Moebius) transform on
+    the coefficients packed 64 to a uint64 word, zero-padded to one word:
+    the low six index bits are shifted within words, the rest are whole-word
+    XORs."""
+    packed = np.packbits(coeffs, bitorder="little")
+    words = np.zeros(max(len(packed) // 8, 1), dtype="<u8")
+    words.view(np.uint8)[:len(packed)] = packed
+    for shift, mask in _IN_WORD[:m]:
+        words ^= (words << np.uint64(shift)) & mask
+    for d in range(6, m):
+        view = words.reshape(-1, 2, 1 << (d - 6))
         view[:, 1, :] ^= view[:, 0, :]
-    return table
+    return int(np.bitwise_count(words).sum())
 
 
 def generate_balanced_f2(m: int, rng: np.random.Generator,
@@ -193,8 +197,8 @@ def generate_balanced_f2(m: int, rng: np.random.Generator,
     target = 1 << (m - 1)
     for _ in range(max_attempts):
         coeffs = rng.integers(0, 2, size=1 << m, dtype=np.uint8)
-        if int(np.count_nonzero(_anf_truth_table(coeffs, m))) == target:
-            term_set = frozenset(int(mask) for mask in np.nonzero(coeffs)[0])
+        if _anf_weight(coeffs, m) == target:
+            term_set = frozenset(np.flatnonzero(coeffs).tolist())
             f = AnfFunction(m, 1, (term_set,))
             if bits.rand_bits(rng, 1):
                 f = f.flip_constant(0)
@@ -208,25 +212,33 @@ def linearize_monomial(x: int, a: int) -> int:
     return (x & a) ^ a ^ 1
 
 
-def gf2_nullspace(rows: Sequence[int], n: int) -> list[int]:
+def gf2_insert(pivots: dict[int, int], row: int, n: int) -> None:
+    """Add an n-bit row to a reduced echelon basis over GF(2), kept as
+    {leading column: row} with every row clear of the other leading
+    columns; a row already in the span leaves the basis as it is."""
+    if row >= (1 << n) or row < 0:
+        raise ValueError(f"row {row} out of range for n={n}")
+    for c, prow in pivots.items():
+        if (row >> c) & 1:
+            row ^= prow
+    if not row:
+        return
+    c = row.bit_length() - 1
+    for c2, prow in pivots.items():
+        if (prow >> c) & 1:
+            pivots[c2] = prow ^ row
+    pivots[c] = row
+
+
+def gf2_nullspace(rows: Iterable[int], n: int) -> list[int]:
     """Basis of {v : r . v = 0 for every r in rows} over GF(2).
 
     Rows and basis vectors are n-bit ints. With no rows the standard basis
-    comes back. Gaussian elimination on int bitsets.
+    comes back. Gaussian elimination on int bitsets, one gf2_insert a row.
     """
     pivots: dict[int, int] = {}
     for r in rows:
-        if r >= (1 << n) or r < 0:
-            raise ValueError(f"row {r} out of range for n={n}")
-        for c, prow in pivots.items():
-            if (r >> c) & 1:
-                r ^= prow
-        if r:
-            c = r.bit_length() - 1
-            for c2 in pivots:
-                if (pivots[c2] >> c) & 1:
-                    pivots[c2] ^= r
-            pivots[c] = r
+        gf2_insert(pivots, r, n)
     basis = []
     for free in range(n - 1, -1, -1):
         if free in pivots:

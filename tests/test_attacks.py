@@ -9,6 +9,7 @@ from qpke.attacks import (ATTACK_CSV_HEADER, GAME_SCHEMES, AttackOutcome,
                           DistinguisherOutcome, ciphertext_distinguisher,
                           owt_inversion_baseline, pan10_key_recovery,
                           pan10_measure_equation, pan10_shared_key_stream)
+from qpke.boolfn import gf2_nullspace
 from qpke.qsym import ProductState, TwoTermState
 from qpke.schemes import SCHEMES, SchemeId, keygen, message_width
 
@@ -141,6 +142,16 @@ def test_key_recovery_at_n64():
         out = pan10_key_recovery(pan10_shared_key_stream(64, rng), 4 * 64, rng, seed=run)
         assert out.success
         assert 63 <= out.copies_used <= 4 * 64
+
+
+def test_key_recovery_stops_where_the_equations_first_leave_one_line():
+    # the incremental echelon basis against re-eliminating every equation so far
+    rng = np.random.default_rng(79)
+    for n in (2, 8, 40):
+        out = pan10_key_recovery(pan10_shared_key_stream(n, rng), 4 * n + 8, rng)
+        assert out.success
+        assert gf2_nullspace(out.equations, n) == [out.recovered]
+        assert len(gf2_nullspace(out.equations[:-1], n)) > 1
 
 
 def test_key_recovery_budget_exhausted_is_failure():

@@ -67,6 +67,41 @@ def test_rand_bits_range_and_wide_words():
     assert any(h > 0 for h in high)
 
 
+@pytest.mark.parametrize("width", [1, 2, 8, 61, 62, 63, 64, 65, 124, 125, 512, 1000])
+@pytest.mark.parametrize("count", [0, 1, 300])
+def test_rand_bits_many_equals_scalar_draws(width, count):
+    # same values and same generator state after, also when a half-used
+    # 64-bit word is buffered in the generator before the draw
+    for prefix in (False, True):
+        many, scalar = np.random.default_rng(width), np.random.default_rng(width)
+        if prefix:
+            many.integers(0, 3), scalar.integers(0, 3)
+        values = bits.rand_bits_many(many, width, count)
+        assert values == [bits.rand_bits(scalar, width) for _ in range(count)]
+        assert many.bit_generator.state == scalar.bit_generator.state
+
+
+def test_rand_bits_many_makes_no_draw_for_nothing():
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    assert bits.rand_bits_many(rng, 0, 5) == [0] * 5
+    assert bits.rand_bits_many(rng, 64, 0) == []
+    assert bits.rand_bits(rng, 0) == 0
+    assert rng.bit_generator.state == state
+
+
+def test_rand_bits_rejects_negative_width_and_count():
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="width"):
+        bits.rand_bits(rng, -5)
+    with pytest.raises(ValueError, match="width"):
+        bits.rand_bits_many(rng, -5, 3)
+    with pytest.raises(ValueError, match="count"):
+        bits.rand_bits_many(rng, 5, -3)
+    assert rng.bit_generator.state == state
+
+
 def test_rand_bits_uniform_chi_square():
     scipy_stats = pytest.importorskip("scipy.stats")
     rng = np.random.default_rng(4)

@@ -2,14 +2,15 @@
 
 The evaluation oracle used throughout is a deliberately naive per-variable
 loop, so the vectorized truth tables and the int-mask evaluator are checked
-against an independent route.
+against an independent route. The byte-butterfly truth table below is the
+oracle for the packed-word balance test of generate_balanced_f2.
 """
 import numpy as np
 import pytest
 
 from qpke import bits
-from qpke.boolfn import (AnfFunction, GenerationError, RandomOracle,
-                         generate_balanced_f2, generate_random, gf2_nullspace,
+from qpke.boolfn import (AnfFunction, GenerationError, RandomOracle, _anf_weight,
+                         generate_balanced_f2, generate_random, gf2_insert, gf2_nullspace,
                          linearize_monomial)
 
 
@@ -26,6 +27,32 @@ def naive_evaluate(f, s):
             bit ^= prod
         out = (out << 1) | bit
     return out
+
+
+def anf_truth_table(coeffs, m):
+    """Truth table over all 2^m inputs of the ANF whose monomial coefficient
+    vector is coeffs (coeffs[mask] = 1 iff the monomial with variable set
+    `mask` is present). Subset-XOR transform, m butterfly passes on bytes."""
+    table = coeffs.copy()
+    for d in range(m):
+        view = table.reshape(-1, 2, 1 << d)
+        view[:, 1, :] ^= view[:, 0, :]
+    return table
+
+
+def output_bit_table(f, b):
+    """Truth table of output bit b of f over all 2^m inputs, by the
+    subset-XOR transform of its monomial coefficient vector."""
+    coeffs = np.zeros(1 << f.m, dtype=np.uint8)
+    coeffs[np.fromiter(f.terms[b], dtype=np.int64)] = 1
+    table = anf_truth_table(coeffs, f.m).astype(bool)
+    if bits.bit_at(f.constants, b, f.n_out):
+        table = ~table
+    return table
+
+
+def is_balanced_bit(f, b):
+    return int(np.count_nonzero(output_bit_table(f, b))) == (1 << (f.m - 1))
 
 
 class AllHeadsRng:
@@ -106,7 +133,7 @@ def test_evaluate_balanced_f2_exhaustively():
     rng = np.random.default_rng(31)
     f = generate_balanced_f2(12, rng)
     values = [f.evaluate(np.int64(s)) for s in range(1 << 12)]
-    assert values == f.output_bit_table(0).astype(int).tolist()
+    assert values == output_bit_table(f, 0).astype(int).tolist()
     assert sum(values) == 1 << 11
     for s in rng.integers(0, 1 << 12, size=40):
         assert values[s] == naive_evaluate(f, int(s))
@@ -127,7 +154,7 @@ def test_output_bit_table_matches_evaluate():
         n_out = int(rng.integers(1, 3))
         f = generate_random(m, n_out, rng, random_constants=True)
         for b in range(n_out):
-            table = f.output_bit_table(b)
+            table = output_bit_table(f, b)
             want = [bits.bit_at(f.evaluate(s), b, n_out) for s in range(1 << m)]
             assert table.astype(int).tolist() == want
 
@@ -186,19 +213,29 @@ def test_balanced_f2_exhaustive():
         for _ in range(10):
             f = generate_balanced_f2(m, rng)
             assert f.n_out == 1
-            table = f.output_bit_table(0)
+            table = output_bit_table(f, 0)
             assert int(np.count_nonzero(table)) == 1 << (m - 1)
             # closure: the complement is balanced too and flips every output
             g = f.flip_constant(0)
-            assert g.is_balanced_bit(0)
+            assert is_balanced_bit(g, 0)
             assert all(g.evaluate(s) == 1 - f.evaluate(s) for s in range(1 << m))
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_packed_balance_weight_matches_byte_butterfly(m):
+    # below six variables the packed table is zero-padded to one word
+    rng = np.random.default_rng(40 + m)
+    cases = [np.zeros(1 << m, np.uint8), np.ones(1 << m, np.uint8)]
+    cases += [rng.integers(0, 2, size=1 << m, dtype=np.uint8) for _ in range(20)]
+    for coeffs in cases:
+        assert _anf_weight(coeffs, m) == int(np.count_nonzero(anf_truth_table(coeffs, m)))
 
 
 def test_balanced_f2_wide_inputs():
     # dense candidate draws keep rejection workable well past m=10
     rng = np.random.default_rng(25)
     f = generate_balanced_f2(12, rng)
-    assert f.is_balanced_bit(0)
+    assert is_balanced_bit(f, 0)
 
 
 def test_balanced_f2_constant_coin():
@@ -288,6 +325,24 @@ def test_nullspace_properties():
             for v in basis:
                 span |= {x ^ v for x in span}
             assert len(span) == 1 << len(basis)
+
+
+def test_insert_keeps_a_reduced_echelon_basis():
+    rng = np.random.default_rng(33)
+    for _ in range(100):
+        n = int(rng.integers(1, 11))
+        pivots = {}
+        rows = []
+        for _ in range(int(rng.integers(0, n + 3))):
+            rows.append(bits.rand_bits(rng, n))
+            gf2_insert(pivots, rows[-1], n)
+            assert len(pivots) == naive_rank(rows, n)
+            for c, prow in pivots.items():
+                assert prow.bit_length() - 1 == c
+                assert all(not (prow >> c2) & 1 for c2 in pivots if c2 != c)
+        assert sorted(gf2_nullspace(pivots.values(), n)) == sorted(gf2_nullspace(rows, n))
+    with pytest.raises(ValueError):
+        gf2_insert({}, 0b1000, 3)
 
 
 def test_nullspace_row_out_of_range():
