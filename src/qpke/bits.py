@@ -87,7 +87,7 @@ def rand_bits_many(rng: np.random.Generator, width: int, count: int) -> list[int
         return [0] * count
     chunks = [62] * (width // 62) + ([width % 62] if width % 62 else [])
     highs = np.tile(np.left_shift(1, chunks, dtype=np.int64), count)
-    columns = np.asarray(rng.integers(0, highs)).reshape(count, len(chunks)).T.tolist()
+    columns = rng.integers(0, highs).reshape(count, len(chunks)).T.tolist()
     out = columns[0]
     for chunk, column in zip(chunks[1:], columns[1:]):
         out = [(x << chunk) | y for x, y in zip(out, column)]

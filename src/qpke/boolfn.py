@@ -138,9 +138,7 @@ def generate_random(m: int, n_out: int, rng: np.random.Generator,
     Duplicate monomials cancel in pairs, matching XOR algebra. All masks
     come from one bits.rand_bits_many call, output bit 0's first.
     """
-    if terms_per_output is None:
-        terms_per_output = m
-    t = terms_per_output
+    t = m if terms_per_output is None else terms_per_output
     masks = bits.rand_bits_many(rng, m, n_out * t)
     term_sets = []
     for b in range(n_out):
