@@ -6,7 +6,7 @@ model replaces F(s) by a uniform k), so the resulting operators are exact
 up to floating point. Trace-distance bounds are then checked against the
 closed forms (sqrt(2)/2)^n, sqrt(1/2^(n-t+1)) and sqrt(1/2^(n-t-1)).
 The superposition-key (pan10) distances are the exception: they are counted
-exactly, with no dense operator, and the dense build is kept as their
+exactly, with no dense operator; the tests keep a dense build as their
 cross-check.
 
 Every mixture is a uniform average, over the strings v of one parity p or
@@ -37,7 +37,6 @@ from .schemes import SchemeId, message_width
 
 __all__ = [
     "SecurityReport",
-    "MixtureSpec",
     "CSV_HEADER",
     "csv_cell",
     "reports_to_csv",
@@ -45,9 +44,6 @@ __all__ = [
     "sigma_b",
     "sigma_bound_report",
     "cipher_mixture",
-    "cipher_mixture_A",
-    "cipher_mixture_uniform",
-    "pubkey_mixture_fixed_k",
     "pubkey_mixture_A",
     "pubkey_mixture_B",
     "channel_e1",
@@ -55,7 +51,6 @@ __all__ = [
     "channel_identity_report",
     "cipher_distance_report",
     "multicopy_distance",
-    "pan10_rho_k",
     "pan10_mixture_distance",
     "helstrom_projector",
     "helstrom_advantage",
@@ -178,39 +173,23 @@ def sigma_bound_report(n: int) -> SecurityReport:
 # ---------------------------------------------------------------------------
 # Ciphertext mixtures.
 
-def cipher_mixture_A(n: int, b: int) -> np.ndarray:
-    """Ciphertext ensemble of the parity scheme for message bit b:
-    (1/2^(2n-1)) sum over parity-b value strings v and all basis strings w of
-    the product of signal states psi_{v_a w_a} = H^{w_a} |v_a>."""
-    return _sector_mixture([_TWIRLED] * n, b)
-
-
-def cipher_mixture_uniform(scheme: SchemeId, n: int, message: int) -> np.ndarray:
-    """Ciphertext ensemble for the schemes whose encoded value i is uniform
-    over all n-bit strings (b, m1, m2): whatever the message mask, i xor j
-    is uniform too. The closed form is the maximally mixed state."""
+def cipher_mixture(scheme: SchemeId, n: int, message: int) -> np.ndarray:
+    """Ciphertext ensemble of a scheme with a distinguishing game: Y_j H_k |i>
+    averaged over every k, the i the scheme encodes and the j that carries
+    the message. Scheme a puts the parity-message strings v = i xor j under
+    (S_0v + S_1v)/2 on every qubit; for b, m1 and m2, i is uniform over all
+    n-bit strings, so i xor j is too whatever the message, and the ensemble
+    is the maximally mixed state."""
     scheme = SchemeId(scheme)
-    if scheme not in (SchemeId.B, SchemeId.M1, SchemeId.M2):
-        raise ValueError(f"no uniform cipher mixture for scheme {scheme}")
+    if scheme not in (SchemeId.A, SchemeId.B, SchemeId.M1, SchemeId.M2):
+        raise ValueError(f"no cipher mixture for scheme {scheme.value}")
     if not 0 <= message < (1 << message_width(scheme, n)):
         raise ValueError(f"message {message} out of range for scheme {scheme.value}")
-    return _sector_mixture([_TWIRLED] * n)
-
-
-def cipher_mixture(scheme: SchemeId, n: int, message: int) -> np.ndarray:
-    """Ciphertext ensemble of any scheme with a distinguishing game."""
-    if SchemeId(scheme) == SchemeId.A:
-        return cipher_mixture_A(n, message)
-    return cipher_mixture_uniform(scheme, n, message)
+    return _sector_mixture([_TWIRLED] * n, message if scheme == SchemeId.A else None)
 
 
 # ---------------------------------------------------------------------------
 # Public-key mixtures.
-
-def pubkey_mixture_fixed_k(n: int, k: int) -> np.ndarray:
-    """Average public-key state H_k |i><i| H_k over uniform i, k fixed."""
-    return _b_pubkey_state(n, k, None)
-
 
 def pubkey_mixture_A(n: int) -> SecurityReport:
     """How far the parity-restricted public-key ensemble sits from maximally
@@ -264,7 +243,7 @@ def channel_identity_report(n: int) -> SecurityReport:
     dev = 0.0
     for b in (0, 1):
         lhs = channel_e2(channel_e1(sigma_b(n, b)))
-        rhs = cipher_mixture_A(n, b)
+        rhs = cipher_mixture(SchemeId.A, n, b)
         dev = max(dev, float(np.max(np.abs(lhs - rhs))))
     return SecurityReport("channel_identity_dev", "a", n, None, "uniform_k", None,
                           dev, 0.0, tol=1e-10)
@@ -286,33 +265,6 @@ def cipher_distance_report(scheme: SchemeId, n: int) -> SecurityReport:
 # ---------------------------------------------------------------------------
 # Multi-copy joint states (scheme b with public-key reuse).
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Parameters of a multi-copy joint-state computation: one ciphertext
-    plus `copies` extra public-key copies, with s either fresh per copy or
-    shared across all of them."""
-
-    scheme: SchemeId
-    n: int
-    copies: int
-    key_model: str = "uniform_k"
-    reuse: str = "fresh_s"
-    anf_samples: int = 0
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.scheme != SchemeId.B:
-            raise ValueError("multi-copy analysis is defined for scheme b")
-        if self.reuse not in ("fresh_s", "shared_s"):
-            raise ValueError(f"unknown reuse mode {self.reuse!r}")
-        if self.key_model not in ("uniform_k", "sampled_anf"):
-            raise ValueError(f"unknown key model {self.key_model!r}")
-        if self.copies < 0:
-            raise ValueError("copies must be >= 0")
-        if self.n * (self.copies + 1) > 10:
-            raise ValueError("n*(copies+1) must stay <= 10 to keep matrices small")
-
-
 def _b_pubkey_state(n: int, k: int, p: int | None) -> np.ndarray:
     """H_k (uniform mixture of parity-p strings, of all strings when p is
     None) H_k: the scheme-b public key for key material (k, p = F2(s)).
@@ -330,28 +282,39 @@ def _joint_state(n: int, t: int, b: int, pairs_and_weights, shared: bool) -> np.
              for (k, p), w in pairs_and_weights]
     if not shared:
         slots = [(1.0, sum(w * c for w, c, _ in slots), sum(w * tau for w, _, tau in slots))]
-    return sum(w * qmat.kron_all([cipher] + [tau] * t) for w, cipher, tau in slots)
+    return sum(w * reduce(np.kron, [cipher] + [tau] * t) for w, cipher, tau in slots)
 
 
-def multicopy_distance(spec: MixtureSpec,
-                       rng: np.random.Generator | None = None) -> SecurityReport:
-    """Trace distance between the b=0 and b=1 joint states of one ciphertext
-    plus spec.copies public-key copies.
+def multicopy_distance(n: int, copies: int, *, reuse: str = "fresh_s",
+                       key_model: str = "uniform_k", samples: int = 0,
+                       rng: np.random.Generator | None = None,
+                       seed: int | None = None) -> SecurityReport:
+    """Trace distance between the b=0 and b=1 joint states of one scheme-b
+    ciphertext plus `copies` public-key copies.
 
     fresh_s: every copy carries an independent s, so averaging over the key
     family factorizes each slot to I/2^n and the distance vanishes.
     shared_s: all copies reuse one s, so one (k, p) pair is shared; the
     joint states stay correlated and the distance is strictly positive
     (recorded as informational, no closed-form target).
+    sampled_anf replaces the uniform (k, p) by `samples` draws of explicit
+    keys from rng; seed is recorded in the report.
     """
-    n, t = spec.n, spec.copies
-    if spec.key_model == "sampled_anf":
-        if rng is None or spec.anf_samples < 1:
+    if reuse not in ("fresh_s", "shared_s"):
+        raise ValueError(f"unknown reuse mode {reuse!r}")
+    if key_model not in ("uniform_k", "sampled_anf"):
+        raise ValueError(f"unknown key model {key_model!r}")
+    if copies < 0:
+        raise ValueError("copies must be >= 0")
+    if n * (copies + 1) > 10:
+        raise ValueError("n*(copies+1) must stay <= 10 to keep matrices small")
+    if key_model == "sampled_anf":
+        if rng is None or samples < 1:
             raise ValueError("sampled_anf needs an rng and a positive sample count")
         pairs = []
         m = 2 * n
-        w = 1.0 / spec.anf_samples
-        for _ in range(spec.anf_samples):
+        w = 1.0 / samples
+        for _ in range(samples):
             f1 = generate_random(m, n, rng)
             f2 = generate_balanced_f2(m, rng)
             s = bits.rand_bits(rng, m)
@@ -360,30 +323,17 @@ def multicopy_distance(spec: MixtureSpec,
         w = 1.0 / (1 << (n + 1))
         pairs = [((k, p), w) for k in range(1 << n) for p in (0, 1)]
 
-    shared = spec.reuse == "shared_s"
-    rho0, rho1 = (_joint_state(n, t, b, pairs, shared) for b in (0, 1))
+    shared = reuse == "shared_s"
+    rho0, rho1 = (_joint_state(n, copies, b, pairs, shared) for b in (0, 1))
 
     d = qmat.trace_distance(rho0, rho1)
-    bound = 0.0 if spec.reuse == "fresh_s" and spec.key_model == "uniform_k" else None
-    return SecurityReport("multicopy_distance", "b", n, t, spec.key_model,
-                          spec.reuse, d, bound, seed=spec.seed, tol=1e-10)
+    bound = 0.0 if reuse == "fresh_s" and key_model == "uniform_k" else None
+    return SecurityReport("multicopy_distance", "b", n, copies, key_model,
+                          reuse, d, bound, seed=seed, tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # Superposition-key scheme: t-copy indistinguishability bounds.
-
-def pan10_rho_k(n: int, k: int, b: int = 0) -> np.ndarray:
-    """Average over i of the published two-term states for fixed odd k:
-    (1/2^n) sum_i sum_x (+-1)^{bx} |i><i xor xk|."""
-    if not 0 < k < (1 << n):
-        raise ValueError("k must be a nonzero n-bit string")
-    dim = 1 << n
-    i = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[i, i] = 1.0 / dim
-    mat[i, i ^ k] = (-1.0 if b else 1.0) / dim
-    return mat
-
 
 def _spanning_tuples(t: int, r: int) -> int:
     """Number of t-tuples over F_2 that span a given r-dimensional space:
@@ -435,8 +385,8 @@ def pan10_mixture_distance(n: int, t: int) -> list[SecurityReport]:
 
     Each sum runs in Python integers over one common denominator, and one
     int/int division rounds it correctly, so any n and t are allowed.
-    `_pan10_mixture_distance_dense` builds both operators densely and is the
-    cross-check the tests hold this route to (n*t <= 10).
+    The tests build both operators densely and hold this route to them
+    (n*t <= 10).
 
     t = 0 is the empty product; both computed values are 0 by convention.
     """
@@ -464,37 +414,6 @@ def pan10_mixture_distance(n: int, t: int) -> list[SecurityReport]:
         SecurityReport("pan10_combined", "pan10", n, t, "uniform_k", "shared_s",
                        comb, comb_bound),
     ]
-
-
-def _pan10_mixture_distance_dense(n: int, t: int) -> tuple[float, float]:
-    """(per-term, combined) of `pan10_mixture_distance`, from the dense
-    t-copy operators, filled entry by entry as `pan10_rho_k` fills its own,
-    and their trace norms."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if n * max(t, 1) > 10:
-        raise ValueError("n*t must stay <= 10 to keep matrices small")
-    if t == 0:
-        return 0.0, 0.0
-    odd = [k for k in range(1 << n) if bits.parity(k) == 1]
-    dim = 1 << (n * t)
-    qmat.check_dim(dim)
-    rows = np.arange(dim)
-    acc_per = np.zeros((dim, dim))
-    acc_comb = np.zeros((dim, dim))
-    # rho_k^0 = (I + X_k)/2^n and rho_k^0 - rho_k^1 = 2 X_k/2^n, where X_k maps
-    # |i> to |i xor k>; so each t-fold product sums X over k placed on every
-    # subset of the copies (the first copy holds the most significant bits).
-    for k in odd:
-        for copies in range(1 << t):
-            mask = sum(k << (n * a) for a in range(t) if copies >> a & 1)
-            acc_per[rows, rows ^ mask] += 1.0 / dim
-            if copies >> (t - 1) & 1:
-                acc_comb[rows, rows ^ mask] += 2.0 / dim
-    acc_per /= len(odd)
-    acc_comb /= len(odd)
-    eye = np.eye(dim) / dim
-    return 0.5 * qmat.trace_norm(acc_per - eye), 0.5 * qmat.trace_norm(acc_comb)
 
 
 # ---------------------------------------------------------------------------

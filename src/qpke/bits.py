@@ -12,7 +12,6 @@ __all__ = [
     "parity",
     "dot",
     "bit_at",
-    "set_bit",
     "to_str",
     "from_str",
     "rand_bits",
@@ -41,12 +40,6 @@ def bit_at(x: int, pos: int, width: int) -> int:
     if not 0 <= pos < width:
         raise IndexError(f"bit position {pos} out of range for width {width}")
     return (x >> (width - 1 - pos)) & 1
-
-
-def set_bit(x: int, pos: int, width: int, value: int) -> int:
-    """Return x with the bit at position pos set to value."""
-    mask = 1 << (width - 1 - pos)
-    return (x | mask) if value else (x & ~mask)
 
 
 def to_str(x: int, width: int) -> str:

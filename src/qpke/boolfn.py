@@ -22,7 +22,6 @@ __all__ = [
     "AnfFunction",
     "generate_random",
     "generate_balanced_f2",
-    "linearize_monomial",
     "gf2_insert",
     "gf2_nullspace",
     "RandomOracle",
@@ -119,14 +118,25 @@ class AnfFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AnfFunction":
+        """Inverse of to_json. Every term must be an m-bit string, and no
+        output bit may list a monomial twice: a shorter string would alias a
+        mask, and a repeated one would cancel under XOR."""
         m, n_out = obj["m"], obj["n_out"]
         if not (type(m) is int and type(n_out) is int):
             raise ValueError(f"m, n_out: expected integers, got m={m!r}, n_out={n_out!r}")
-        terms = tuple(frozenset(bits.from_str(t)[0] for t in tset) for tset in obj["terms"])
+        terms = []
+        for b, strings in enumerate(obj["terms"]):
+            masks = [bits.from_str(t) for t in strings]
+            if any(width != m for _, width in masks):
+                raise ValueError(f"terms of output bit {b}: expected {m}-bit strings")
+            tset = frozenset(mask for mask, _ in masks)
+            if len(tset) < len(masks):
+                raise ValueError(f"terms of output bit {b}: a monomial is repeated")
+            terms.append(tset)
         constants, width = bits.from_str(obj["constants"])
         if width != n_out:
             raise ValueError("constants width does not match n_out")
-        return cls(m, n_out, terms, constants)
+        return cls(m, n_out, tuple(terms), constants)
 
 
 def generate_random(m: int, n_out: int, rng: np.random.Generator,
@@ -202,12 +212,6 @@ def generate_balanced_f2(m: int, rng: np.random.Generator,
                 f = f.flip_constant(0)
             return f
     raise GenerationError(f"no balanced function found in {max_attempts} attempts")
-
-
-def linearize_monomial(x: int, a: int) -> int:
-    """Bitwise x^a = x*a xor a xor 1: the monomial exponent identity used to
-    turn polynomial key equations into linear ones."""
-    return (x & a) ^ a ^ 1
 
 
 def gf2_insert(pivots: dict[int, int], row: int, n: int) -> None:

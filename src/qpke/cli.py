@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, attacks, bits, schemes
-from .analysis import MixtureSpec, SecurityReport
+from .analysis import SecurityReport
 from .schemes import SchemeId
 
 
@@ -147,8 +147,8 @@ def _cipher(scheme: SchemeId):
 
 def _multicopy(n, ts, opts, rng):
     return [analysis.multicopy_distance(
-        MixtureSpec(SchemeId.B, n, t, key_model=opts.key_model, reuse=opts.reuse,
-                    anf_samples=opts.samples, seed=opts.seed), rng) for t in ts]
+        n, t, reuse=opts.reuse, key_model=opts.key_model, samples=opts.samples,
+        rng=rng, seed=opts.seed) for t in ts]
 
 
 def _points(ns, ts=(1,), **opts):

@@ -1,4 +1,4 @@
-"""Dense complex-matrix helpers: tensor products, spectra, trace distance.
+"""Dense complex-matrix helpers: dimension cap, spectra, trace distance.
 
 Operators are numpy arrays of complex128 (trace_norm keeps real input real).
 Matrices are kept small (the working dimension is capped, default 2**12)
@@ -15,10 +15,7 @@ __all__ = [
     "DEFAULT_DIM_CAP",
     "dim_cap",
     "check_dim",
-    "kron",
-    "kron_all",
     "is_hermitian",
-    "hermitian_eigenvalues",
     "trace_norm",
     "trace_distance",
     "assert_density_operator",
@@ -53,53 +50,24 @@ def check_dim(dim: int) -> int:
     return dim
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two arrays, capped on the resulting dimension."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    check_dim(a.shape[0] * b.shape[0])
-    return np.kron(a, b)
-
-
-def kron_all(factors) -> np.ndarray:
-    """Tensor product of a sequence of arrays, left to right."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("kron_all needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = kron(out, f)
-    return out
-
-
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     a = np.asarray(a)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and np.max(np.abs(a - a.conj().T)) <= tol
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending.
-
-    Raises ValueError if the input is not Hermitian within 1e-10.
-    """
-    a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a):
-        raise ValueError("input matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(a)[::-1]
-
-
 def trace_norm(a: np.ndarray) -> float:
     """Trace norm tr|A| = sum of singular values.
 
-    Hermitian inputs take the exact route sum|eig(A)|; squaring through
-    A^dag A would cost half the significant digits. Everything else goes
-    through the spectrum of A^dag A. Real input stays real (real eigvalsh).
+    Hermitian inputs take the exact route sum|eig(A)|, summed from the
+    largest eigenvalue down; squaring through A^dag A would cost half the
+    significant digits. Everything else goes through the spectrum of
+    A^dag A. Real input stays real (real eigvalsh).
     """
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("trace_norm expects a square matrix")
     if is_hermitian(a):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
+        return float(np.sum(np.abs(np.linalg.eigvalsh(a)[::-1])))
     gram_eigs = np.linalg.eigvalsh(a.conj().T @ a)
     return float(np.sum(np.sqrt(np.clip(gram_eigs, 0.0, None))))
 
@@ -119,8 +87,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
             raise ValueError("trace_distance expects Hermitian operators")
         if abs(np.trace(op).real - 1.0) > TRACE_TOL or abs(np.trace(op).imag) > TRACE_TOL:
             raise ValueError("trace_distance expects unit-trace operators")
-    eigs = hermitian_eigenvalues(rho - sigma)
-    return float(0.5 * np.sum(np.abs(eigs)))
+    return 0.5 * trace_norm(rho - sigma)
 
 
 def assert_density_operator(rho: np.ndarray) -> None:

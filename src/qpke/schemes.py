@@ -134,11 +134,13 @@ class AdversaryView:
     """Everything an eavesdropper holds: the published label and state.
 
     Never carries the Boolean functions, the basis string l, the encoded
-    value i, the basis key k or the encryption mask j.
+    value i, the basis key k or the encryption mask j. The public label
+    width m prints the label at full width.
     """
 
     scheme: SchemeId
     n: int
+    m: int
     label: object
     quantum: ProductState | TwoTermState
 
@@ -147,7 +149,7 @@ class AdversaryView:
             "view": "adversary",
             "scheme": self.scheme.value,
             "n": self.n,
-            "label": _label_to_json(self.label, None),
+            "label": _label_to_json(self.label, self.m),
             "quantum": _quantum_to_json_opaque(self.quantum),
         }
 
@@ -323,7 +325,7 @@ def decrypt(sk: PrivateKey, ct: Ciphertext,
 
 def adversary_view(obj: PublicKey | Ciphertext) -> AdversaryView:
     """What leaves Bob's lab: label and quantum state, nothing else."""
-    return AdversaryView(obj.scheme, obj.n, obj.label, obj.quantum)
+    return AdversaryView(obj.scheme, obj.n, obj.m, obj.label, obj.quantum)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +334,12 @@ def adversary_view(obj: PublicKey | Ciphertext) -> AdversaryView:
 # after private data. The loaders check every field against the scheme's row
 # of SCHEMES, and each rejection is a ValueError that names its field.
 
-def _label_to_json(label, m: int | None):
+def _label_to_json(label, m: int):
     if isinstance(label, ProductState):
         return label.to_json()
     if isinstance(label, tuple):
-        return [bits.to_str(s, m) for s in label] if m else [f"{s:b}" for s in label]
-    return bits.to_str(label, m) if m else f"{label:b}"
+        return [bits.to_str(s, m) for s in label]
+    return bits.to_str(label, m)
 
 
 def _quantum_to_json_opaque(q) -> dict:

@@ -4,15 +4,14 @@ pinned tolerance and runtime budget, one printed verdict line per criterion.
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 """
 import time
+from functools import reduce
 
 import numpy as np
 import scipy.stats
 
-from qpke import bits, qmat
-from qpke.analysis import (channel_e1, channel_e2, cipher_mixture_A,
-                           cipher_mixture_uniform, helstrom_advantage,
-                           identity_mixture, pan10_mixture_distance,
-                           pubkey_mixture_fixed_k, sigma_b)
+from qpke import analysis, bits, qmat
+from qpke.analysis import (channel_e1, channel_e2, cipher_mixture, helstrom_advantage,
+                           identity_mixture, pan10_mixture_distance, sigma_b)
 from qpke.attacks import (owt_inversion_baseline, pan10_key_recovery,
                           pan10_shared_key_stream)
 from qpke.boolfn import RandomOracle, generate_balanced_f2
@@ -56,7 +55,7 @@ def test_criterion_02_channel_identity():
     for n in range(1, 6):
         for b in (0, 1):
             lhs = channel_e2(channel_e1(sigma_b(n, b)))
-            rhs = cipher_mixture_A(n, b)
+            rhs = cipher_mixture(SchemeId.A, n, b)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     _verdict(2, "channel-identity", worst < 1e-10,
              f"max entrywise |E2(E1(sigma_b)) - rho_b| = {worst:.3e}",
@@ -69,7 +68,7 @@ def test_criterion_03_scheme_a_cipher_bound():
     eq_dev = None
     worst_slack = -1.0
     for n in range(1, 7):
-        d = qmat.trace_distance(cipher_mixture_A(n, 0), cipher_mixture_A(n, 1))
+        d = qmat.trace_distance(cipher_mixture(SchemeId.A, n, 0), cipher_mixture(SchemeId.A, n, 1))
         ok &= d <= SQ ** n + 1e-9
         worst_slack = max(worst_slack, d - SQ ** n)
         if n == 1:
@@ -87,14 +86,14 @@ def test_criterion_04_perfect_indistinguishability():
         eye = identity_mixture(n)
         for b in (0, 1):
             worst = max(worst, float(np.max(np.abs(
-                cipher_mixture_uniform(SchemeId.B, n, b) - eye))))
+                cipher_mixture(SchemeId.B, n, b) - eye))))
         for scheme in (SchemeId.M1, SchemeId.M2):
             for msg in range(1 << n):
                 worst = max(worst, float(np.max(np.abs(
-                    cipher_mixture_uniform(scheme, n, msg) - eye))))
+                    cipher_mixture(scheme, n, msg) - eye))))
         for k in range(1 << n):
             worst = max(worst, float(np.max(np.abs(
-                pubkey_mixture_fixed_k(n, k) - eye))))
+                analysis._b_pubkey_state(n, k, None) - eye))))
     _verdict(4, "indistinguishability", worst < 1e-10,
              f"max entrywise |mixture - I/2^n| = {worst:.3e} over n=2..5",
              time.perf_counter() - start, 60)
@@ -178,8 +177,8 @@ def test_criterion_08_oracle_equivalence():
             gate = GATES[rng.integers(0, len(GATES))]
             pos = int(rng.integers(0, n))
             state = state.apply_gate(gate, pos)
-            op = qmat.kron_all([GATE_MATRICES[gate] if a == pos
-                                else GATE_MATRICES["I"] for a in range(n)])
+            op = reduce(np.kron, [GATE_MATRICES[gate] if a == pos
+                                  else GATE_MATRICES["I"] for a in range(n)])
             dense = op @ dense
         sym = state.to_vector()
         dev = min(float(np.max(np.abs(sym * (1j ** p) - dense))) for p in range(4))
@@ -202,13 +201,13 @@ def test_criterion_09_statistical_checks():
         details.append(f"owt n={n}: {abs(rate - p) / sigma:.2f} sigma")
     samples = 100_000
     for n in range(1, 5):
-        rho0 = cipher_mixture_A(n, 0)
-        rho1 = cipher_mixture_A(n, 1)
+        rho0 = cipher_mixture(SchemeId.A, n, 0)
+        rho1 = cipher_mixture(SchemeId.A, n, 1)
         analytic, empirical = helstrom_advantage(rho0, rho1, samples=samples, rng=rng)
         sigma = np.sqrt(analytic * (1 - analytic) / samples)
         ok &= abs(empirical - analytic) <= 3 * sigma
-    rho0 = cipher_mixture_uniform(SchemeId.B, 2, 0)
-    rho1 = cipher_mixture_uniform(SchemeId.B, 2, 1)
+    rho0 = cipher_mixture(SchemeId.B, 2, 0)
+    rho1 = cipher_mixture(SchemeId.B, 2, 1)
     analytic, empirical = helstrom_advantage(rho0, rho1, samples=samples, rng=rng)
     sigma = np.sqrt(0.25 / samples)
     ok &= abs(analytic - 0.5) < 1e-9 and abs(empirical - analytic) <= 3 * sigma

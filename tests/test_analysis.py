@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from qpke import analysis, bits, qmat
-from qpke.analysis import (MixtureSpec, SecurityReport, channel_e1, channel_e2,
+from qpke.analysis import (SecurityReport, channel_e1, channel_e2,
                            channel_identity_report, cipher_distance_report,
-                           cipher_mixture_A, cipher_mixture_uniform, helstrom_advantage,
+                           cipher_mixture, helstrom_advantage,
                            helstrom_projector, identity_mixture,
                            multicopy_distance, pan10_mixture_distance,
-                           pan10_rho_k, pubkey_mixture_A, pubkey_mixture_B,
+                           pubkey_mixture_A, pubkey_mixture_B,
                            report_ok, reports_to_csv, sigma_b,
                            sigma_bound_report)
 from qpke.boolfn import generate_random
@@ -81,9 +81,9 @@ def test_sector_mixture_matches_qsym_densities():
 
 @pytest.mark.parametrize("build", [
     lambda: sigma_b(5, 0),
-    lambda: cipher_mixture_A(5, 0),
-    lambda: cipher_mixture_uniform(SchemeId.B, 5, 0),
-    lambda: analysis.pubkey_mixture_fixed_k(5, 0),
+    lambda: cipher_mixture(SchemeId.A, 5, 0),
+    lambda: cipher_mixture(SchemeId.B, 5, 0),
+    lambda: analysis._b_pubkey_state(5, 0, None),
     lambda: analysis._b_pubkey_state(5, 0, 0),
     lambda: pubkey_mixture_A(5),
 ], ids=["sigma_b", "cipher_mixture_A", "cipher_mixture_uniform",
@@ -113,8 +113,9 @@ def test_sigma_distance_closed_form():
 # --- ciphertext mixtures ----------------------------------------------------
 
 def test_cipher_mixture_a_single_qubit_values():
-    assert np.allclose(cipher_mixture_A(1, 0), [[0.75, 0.25], [0.25, 0.25]], atol=1e-14)
-    assert np.allclose(cipher_mixture_A(1, 1), [[0.25, -0.25], [-0.25, 0.75]], atol=1e-14)
+    rho0, rho1 = (cipher_mixture(SchemeId.A, 1, b) for b in (0, 1))
+    assert np.allclose(rho0, [[0.75, 0.25], [0.25, 0.25]], atol=1e-14)
+    assert np.allclose(rho1, [[0.25, -0.25], [-0.25, 0.75]], atol=1e-14)
 
 
 def test_cipher_mixture_a_dual_routes_agree():
@@ -122,7 +123,7 @@ def test_cipher_mixture_a_dual_routes_agree():
     # even i, every k, parity-b j
     for n in range(1, 5):
         for b in (0, 1):
-            rho = cipher_mixture_A(n, b)
+            rho = cipher_mixture(SchemeId.A, n, b)
             want = _qsym_average(n, _parity_strings(n, 0), range(1 << n),
                                  _parity_strings(n, b))
             assert np.max(np.abs(rho - want)) < 1e-14, (n, b)
@@ -131,7 +132,8 @@ def test_cipher_mixture_a_dual_routes_agree():
 
 def test_cipher_distance_a_is_exactly_the_bound():
     for n in range(1, 6):
-        d = qmat.trace_distance(cipher_mixture_A(n, 0), cipher_mixture_A(n, 1))
+        d = qmat.trace_distance(cipher_mixture(SchemeId.A, n, 0),
+                                cipher_mixture(SchemeId.A, n, 1))
         assert abs(d - SQ ** n) < 1e-12
         assert report_ok(cipher_distance_report(SchemeId.A, n))
 
@@ -140,11 +142,11 @@ def test_uniform_cipher_mixtures_are_maximally_mixed():
     for n in (2, 3, 8):
         eye = identity_mixture(n)
         for b in (0, 1):
-            dev = np.max(np.abs(cipher_mixture_uniform(SchemeId.B, n, b) - eye))
+            dev = np.max(np.abs(cipher_mixture(SchemeId.B, n, b) - eye))
             assert dev < 1e-13
         for msg in (0, 1, (1 << n) - 1):
             for scheme in (SchemeId.M1, SchemeId.M2):
-                dev = np.max(np.abs(cipher_mixture_uniform(scheme, n, msg) - eye))
+                dev = np.max(np.abs(cipher_mixture(scheme, n, msg) - eye))
                 assert dev < 1e-13
 
 
@@ -169,12 +171,14 @@ def test_protocol_average_matches_enumerated_kets(n):
 
 
 def test_uniform_cipher_mixture_validation():
-    with pytest.raises(ValueError):
-        cipher_mixture_uniform(SchemeId.B, 2, 2)
-    with pytest.raises(ValueError):
-        cipher_mixture_uniform(SchemeId.M1, 2, 4)
-    with pytest.raises(ValueError):
-        cipher_mixture_uniform(SchemeId.A, 2, 0)
+    # scheme a is checked alike: its message 2 would select the odd-parity
+    # sector, the ensemble of message 1
+    for scheme, message in ((SchemeId.B, 2), (SchemeId.B, -1), (SchemeId.M1, 4),
+                            (SchemeId.M2, 4), (SchemeId.M2, -1), (SchemeId.A, 2),
+                            (SchemeId.A, -1)):
+        with pytest.raises(ValueError,
+                           match=f"message {message} out of range for scheme {scheme.value}"):
+            cipher_mixture(scheme, 2, message)
 
 
 def test_cipher_distance_reports_b_m1_m2():
@@ -186,11 +190,14 @@ def test_cipher_distance_reports_b_m1_m2():
 
 
 def test_cipher_mixture_routes_by_scheme():
-    assert np.array_equal(analysis.cipher_mixture(SchemeId.A, 3, 1), cipher_mixture_A(3, 1))
-    assert np.array_equal(analysis.cipher_mixture(SchemeId.M2, 2, 3),
-                          cipher_mixture_uniform(SchemeId.M2, 2, 3))
-    with pytest.raises(ValueError):
-        analysis.cipher_mixture(SchemeId.PAN10, 2, 0)
+    # scheme a takes the message's parity sector, b, m1 and m2 every string
+    twirled = [analysis._TWIRLED] * 3
+    assert np.array_equal(cipher_mixture(SchemeId.A, 3, 1), analysis._sector_mixture(twirled, 1))
+    for scheme in (SchemeId.B, SchemeId.M1, SchemeId.M2):
+        assert np.array_equal(cipher_mixture(scheme, 3, 1), analysis._sector_mixture(twirled))
+    for scheme in (SchemeId.ENH, SchemeId.PAN10):
+        with pytest.raises(ValueError, match=f"no cipher mixture for scheme {scheme.value}"):
+            cipher_mixture(scheme, 2, 0)
 
 
 def _cipher_mixture_a_sampled(n, b, num_samples, rng):
@@ -211,7 +218,7 @@ def _cipher_mixture_a_sampled(n, b, num_samples, rng):
 
 def test_sampled_mixture_converges():
     rng = np.random.default_rng(42)
-    exact = cipher_mixture_A(2, 0)
+    exact = cipher_mixture(SchemeId.A, 2, 0)
     dev_small = np.max(np.abs(_cipher_mixture_a_sampled(2, 0, 100, rng) - exact))
     dev_large = np.max(np.abs(_cipher_mixture_a_sampled(2, 0, 10_000, rng) - exact))
     assert dev_large < dev_small
@@ -234,7 +241,7 @@ def test_pubkey_mixture_fixed_k_is_identity():
     # uniform i conjugated by any fixed H_k stays maximally mixed
     for n in (1, 2, 3):
         for k in range(1 << n):
-            dev = np.max(np.abs(analysis.pubkey_mixture_fixed_k(n, k) - identity_mixture(n)))
+            dev = np.max(np.abs(analysis._b_pubkey_state(n, k, None) - identity_mixture(n)))
             assert dev < 1e-13
 
 
@@ -303,7 +310,7 @@ def test_b_cipher_state_is_the_pubkey_state_at_parity_p_xor_b():
 
 def test_multicopy_fresh_is_zero():
     for n, t in ((2, 1), (2, 2), (3, 1)):
-        r = multicopy_distance(MixtureSpec(SchemeId.B, n, t))
+        r = multicopy_distance(n, t)
         assert r.bound == 0.0
         assert r.computed < 1e-12
         assert report_ok(r)
@@ -312,7 +319,7 @@ def test_multicopy_fresh_is_zero():
 def test_multicopy_shared_frozen_values():
     frozen = {(2, 1): 0.25, (2, 2): 0.426776695297, (3, 1): 0.125, (3, 2): 0.231694173824}
     for (n, t), want in frozen.items():
-        r = multicopy_distance(MixtureSpec(SchemeId.B, n, t, reuse="shared_s"))
+        r = multicopy_distance(n, t, reuse="shared_s")
         assert r.bound is None
         assert abs(r.computed - want) < 1e-9, (n, t, r.computed)
         assert 0.0 < r.computed < 1.0
@@ -320,41 +327,83 @@ def test_multicopy_shared_frozen_values():
 
 def test_multicopy_no_copies_no_information():
     for reuse in ("fresh_s", "shared_s"):
-        r = multicopy_distance(MixtureSpec(SchemeId.B, 3, 0, reuse=reuse))
+        r = multicopy_distance(3, 0, reuse=reuse)
         assert r.computed < 1e-12
 
 
 def test_multicopy_shared_nondecreasing_in_t():
-    vals = [multicopy_distance(MixtureSpec(SchemeId.B, 3, t, reuse="shared_s")).computed
-            for t in (0, 1, 2)]
+    vals = [multicopy_distance(3, t, reuse="shared_s").computed for t in (0, 1, 2)]
     assert vals[0] <= vals[1] + 1e-12
     assert vals[1] <= vals[2] + 1e-12
 
 
 def test_multicopy_sampled_anf_route():
     rng = np.random.default_rng(52)
-    spec = MixtureSpec(SchemeId.B, 2, 1, key_model="sampled_anf", anf_samples=40, seed=52)
-    r = multicopy_distance(spec, rng)
-    assert r.bound is None
+    r = multicopy_distance(2, 1, key_model="sampled_anf", samples=40, rng=rng, seed=52)
+    assert r.bound is None and r.seed == 52
     assert 0.0 <= r.computed <= 1.0
-    with pytest.raises(ValueError):
-        multicopy_distance(spec, None)
+    for samples, gen in ((40, None), (0, rng)):
+        with pytest.raises(ValueError, match="sampled_anf needs an rng and a positive sample"):
+            multicopy_distance(2, 1, key_model="sampled_anf", samples=samples, rng=gen)
 
 
-def test_mixture_spec_validation():
-    with pytest.raises(ValueError):
-        MixtureSpec(SchemeId.A, 2, 1)
-    with pytest.raises(ValueError):
-        MixtureSpec(SchemeId.B, 2, 1, reuse="sometimes")
-    with pytest.raises(ValueError):
-        MixtureSpec(SchemeId.B, 2, 1, key_model="psychic")
-    with pytest.raises(ValueError):
-        MixtureSpec(SchemeId.B, 2, -1)
-    with pytest.raises(ValueError):
-        MixtureSpec(SchemeId.B, 4, 2)  # 4*3 > 10
+def test_multicopy_validation():
+    with pytest.raises(ValueError, match="unknown reuse mode 'sometimes'"):
+        multicopy_distance(2, 1, reuse="sometimes")
+    with pytest.raises(ValueError, match="unknown key model 'psychic'"):
+        multicopy_distance(2, 1, key_model="psychic")
+    with pytest.raises(ValueError, match="copies must be >= 0"):
+        multicopy_distance(2, -1)
+    with pytest.raises(ValueError, match="must stay <= 10"):
+        multicopy_distance(4, 2)  # 4*3 > 10
 
 
 # --- superposition-key bounds -----------------------------------------------
+
+# The dense reference that pan10_mixture_distance's subspace counts are held to.
+def pan10_rho_k(n: int, k: int, b: int = 0) -> np.ndarray:
+    """Average over i of the published two-term states for fixed odd k:
+    (1/2^n) sum_i sum_x (+-1)^{bx} |i><i xor xk|."""
+    if not 0 < k < (1 << n):
+        raise ValueError("k must be a nonzero n-bit string")
+    dim = 1 << n
+    i = np.arange(dim)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[i, i] = 1.0 / dim
+    mat[i, i ^ k] = (-1.0 if b else 1.0) / dim
+    return mat
+
+
+def _pan10_mixture_distance_dense(n: int, t: int) -> tuple[float, float]:
+    """(per-term, combined) of `pan10_mixture_distance`, from the dense
+    t-copy operators, filled entry by entry as `pan10_rho_k` fills its own,
+    and their trace norms."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if n * max(t, 1) > 10:
+        raise ValueError("n*t must stay <= 10 to keep matrices small")
+    if t == 0:
+        return 0.0, 0.0
+    odd = [k for k in range(1 << n) if bits.parity(k) == 1]
+    dim = 1 << (n * t)
+    qmat.check_dim(dim)
+    rows = np.arange(dim)
+    acc_per = np.zeros((dim, dim))
+    acc_comb = np.zeros((dim, dim))
+    # rho_k^0 = (I + X_k)/2^n and rho_k^0 - rho_k^1 = 2 X_k/2^n, where X_k maps
+    # |i> to |i xor k>; so each t-fold product sums X over k placed on every
+    # subset of the copies (the first copy holds the most significant bits).
+    for k in odd:
+        for copies in range(1 << t):
+            mask = sum(k << (n * a) for a in range(t) if copies >> a & 1)
+            acc_per[rows, rows ^ mask] += 1.0 / dim
+            if copies >> (t - 1) & 1:
+                acc_comb[rows, rows ^ mask] += 2.0 / dim
+    acc_per /= len(odd)
+    acc_comb /= len(odd)
+    eye = np.eye(dim) / dim
+    return 0.5 * qmat.trace_norm(acc_per - eye), 0.5 * qmat.trace_norm(acc_comb)
+
 
 def test_pan10_rho_k_matches_state_average():
     # dual route: the closed-form operator equals the average of the
@@ -397,7 +446,7 @@ def test_pan10_zero_copies():
 
 def test_pan10_dimension_guard():
     with pytest.raises(ValueError):
-        analysis._pan10_mixture_distance_dense(6, 2)
+        _pan10_mixture_distance_dense(6, 2)
     with pytest.raises(ValueError):
         pan10_mixture_distance(4, -1)
 
@@ -410,7 +459,7 @@ def test_pan10_exact_matches_dense():
             if n * max(t, 1) > 10:
                 continue
             per, comb = pan10_mixture_distance(n, t)
-            dense_per, dense_comb = analysis._pan10_mixture_distance_dense(n, t)
+            dense_per, dense_comb = _pan10_mixture_distance_dense(n, t)
             assert abs(per.computed - dense_per) < 1e-12, (n, t)
             assert abs(comb.computed - dense_comb) < 1e-12, (n, t)
 
@@ -454,8 +503,8 @@ def test_helstrom_projector_properties():
 
 def test_helstrom_empirical_tracks_analytic():
     rng = np.random.default_rng(55)
-    rho0 = cipher_mixture_A(2, 0)
-    rho1 = cipher_mixture_A(2, 1)
+    rho0 = cipher_mixture(SchemeId.A, 2, 0)
+    rho1 = cipher_mixture(SchemeId.A, 2, 1)
     analytic, empirical = helstrom_advantage(rho0, rho1, samples=40_000, rng=rng)
     assert abs(analytic - 0.75) < 1e-12
     sigma = np.sqrt(analytic * (1 - analytic) / 40_000)

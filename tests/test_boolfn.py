@@ -10,8 +10,7 @@ import pytest
 
 from qpke import bits
 from qpke.boolfn import (AnfFunction, GenerationError, RandomOracle, _anf_weight,
-                         generate_balanced_f2, generate_random, gf2_insert, gf2_nullspace,
-                         linearize_monomial)
+                         generate_balanced_f2, generate_random, gf2_insert, gf2_nullspace)
 
 
 def naive_evaluate(f, s):
@@ -276,13 +275,6 @@ def test_uniformity_oracle_vs_anf_modes():
     assert oracle < crit
     assert dense < crit
     assert sparse > 10 * crit
-
-
-def test_linearize_monomial():
-    assert linearize_monomial(0, 0) == 1
-    assert linearize_monomial(1, 0) == 1
-    assert linearize_monomial(0, 1) == 0
-    assert linearize_monomial(1, 1) == 1
 
 
 def naive_rank(rows, n):

@@ -1,4 +1,4 @@
-"""Dense-matrix helper checks: spectra, trace norm/distance, dimension cap."""
+"""Dense-matrix helper checks: trace norm/distance, dimension cap."""
 import numpy as np
 import pytest
 
@@ -16,49 +16,17 @@ def random_density(rng, dim):
     return rho / np.trace(rho)
 
 
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(4, 4))
-    assert np.array_equal(qmat.kron(a, b), np.kron(a, b))
-
-
-def test_kron_all():
-    rng = np.random.default_rng(1)
-    mats = [rng.normal(size=(2, 2)) for _ in range(3)]
-    expected = np.kron(np.kron(mats[0], mats[1]), mats[2])
-    assert np.allclose(qmat.kron_all(mats), expected)
-    with pytest.raises(ValueError):
-        qmat.kron_all([])
-
-
 def test_dim_cap_env_override(monkeypatch):
     monkeypatch.setenv("QPKE_DIM_CAP", "8")
     assert qmat.dim_cap() == 8
-    eye8 = np.eye(8)
     qmat.check_dim(8)
     with pytest.raises(qmat.DimensionCapError):
-        qmat.kron(eye8, np.eye(2))
+        qmat.check_dim(16)
     monkeypatch.setenv("QPKE_DIM_CAP", "1")
     with pytest.raises(ValueError):
         qmat.dim_cap()
     monkeypatch.delenv("QPKE_DIM_CAP")
     assert qmat.dim_cap() == qmat.DEFAULT_DIM_CAP
-
-
-def test_hermitian_eigenvalues_known_spectrum():
-    # |0><0| - |+><+| has eigenvalues +-sqrt(2)/2
-    ket0 = np.array([1.0, 0.0])
-    ketp = np.array([1.0, 1.0]) / np.sqrt(2)
-    delta = np.outer(ket0, ket0) - np.outer(ketp, ketp)
-    eigs = qmat.hermitian_eigenvalues(delta)
-    assert np.allclose(eigs, [np.sqrt(2) / 2, -np.sqrt(2) / 2])
-    assert eigs[0] >= eigs[-1]  # descending
-
-
-def test_hermitian_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        qmat.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_trace_norm_matches_svd():

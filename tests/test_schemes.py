@@ -1,5 +1,6 @@
 """Protocol round-trips, keygen invariants, single-use enforcement, JSON."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,6 +245,16 @@ def test_adversary_view_hides_private_data(scheme):
     ct = encrypt(pk, 0, rng)
     view_ct = adversary_view(ct)
     assert view_ct.n == 3
+
+
+@pytest.mark.parametrize("scheme, label, want", [(SchemeId.A, 3, "0011"),
+                                                 (SchemeId.M1, (3, 1), ["0011", "0001"])])
+def test_adversary_view_label_keeps_leading_zeros(scheme, label, want):
+    # a label below 2^(m-1) prints all m characters, as the public key does
+    _, (pk,) = keygen(scheme, 2, np.random.default_rng(44))
+    pk = replace(pk, label=label)
+    assert pk.m == 4
+    assert adversary_view(pk).to_json()["label"] == want == public_key_to_json(pk)["label"]
 
 
 def test_pan10_adversary_terms_are_unordered():

@@ -114,6 +114,22 @@ def test_f2_width_is_checked():
         private_key_from_json(obj)
 
 
+@pytest.mark.parametrize("terms, reason, mask", [
+    (["1"], "expected 6-bit strings", 0b000001),
+    (["0000001"], "expected 6-bit strings", 0b000001),
+    (["000011", "000011"], "a monomial is repeated", 0b000011)])
+def test_anf_terms_must_be_distinct_m_bit_strings(terms, reason, mask):
+    # "1" and "0000001" would both alias the mask 000001, and a repeated
+    # monomial would load once although the pair cancels under XOR
+    sk, _, _ = issued(SchemeId.A)
+    obj = private_key_to_json(sk)
+    obj["f"]["terms"][1] = terms
+    with pytest.raises(ValueError, match=f"^f: expected an ANF function .*output bit 1: {reason}"):
+        private_key_from_json(obj)
+    obj["f"]["terms"][1] = [bits.to_str(mask, 6)]
+    assert private_key_from_json(obj).f.terms[1] == {mask}
+
+
 @pytest.mark.parametrize("n, m", [(3, 3), (0, 6), (-1, 6), ("3", 6), (3, 6.0), (True, 6),
                                   (3, None)])
 def test_n_and_m_must_be_integers_with_n_below_m(n, m):
