@@ -145,6 +145,8 @@ def _sector_mixture(pairs, parity=None) -> np.ndarray:
     most significant factor: (P + (-1)^parity M) / 2^n with
     P = (x)_a (A_a0 + A_a1) and M = (x)_a (A_a0 - A_a1), or P / 2^n."""
     n = len(pairs)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     qmat.check_dim(1 << n)
     total = reduce(np.kron, [a0 + a1 for a0, a1 in pairs])
     if parity is not None:

@@ -46,7 +46,7 @@ def to_str(x: int, width: int) -> str:
     """MSB-first string form, e.g. to_str(6, 4) == '0110'."""
     if x < 0 or x >= 1 << width:
         raise ValueError(f"{x} does not fit in {width} bits")
-    return format(x, f"0{width}b")
+    return format(x, f"0{width}b") if width else ""
 
 
 def from_str(s: str) -> tuple[int, int]:

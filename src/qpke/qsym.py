@@ -14,6 +14,7 @@ encryption Z^(x)n acts on it in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -93,6 +94,10 @@ class QubitSymbol:
         return _I_POW[self.phase] * _BASIS_VECTORS[self.basis]
 
 
+# |0> and |1> by bit character; symbols are immutable, so states share them.
+_COMPUTATIONAL = {"0": QubitSymbol(Z0), "1": QubitSymbol(Z1)}
+
+
 @dataclass(frozen=True)
 class ProductState:
     """Tensor product of qubit symbols with a tracked global phase.
@@ -113,8 +118,7 @@ class ProductState:
     @classmethod
     def from_bits(cls, i: int, n: int) -> "ProductState":
         """Computational basis state |i> on n qubits (MSB first)."""
-        syms = tuple(QubitSymbol(Z1 if bits.bit_at(i, a, n) else Z0) for a in range(n))
-        return cls(syms)
+        return cls(tuple(_COMPUTATIONAL[c] for c in bits.to_str(i, n)))
 
     @property
     def n(self) -> int:
@@ -132,17 +136,14 @@ class ProductState:
     def apply_gate(self, gate: str, index: int) -> "ProductState":
         if not 0 <= index < self.n:
             raise IndexError(f"qubit index {index} out of range for n={self.n}")
-        qs = list(self.qubits)
-        qs[index] = qs[index].apply(gate)
-        return ProductState(tuple(qs), self.global_phase)
+        return self.apply_mask(gate, 1 << (self.n - 1 - index))
 
     def apply_mask(self, gate: str, mask: int) -> "ProductState":
-        """Apply one gate at every position where the n-bit mask has a 1."""
-        state = self
-        for a in range(self.n):
-            if bits.bit_at(mask, a, self.n):
-                state = state.apply_gate(gate, a)
-        return state
+        """Apply one gate at every position where the n-bit mask has a 1, in
+        one pass over the qubits."""
+        flags = bits.to_str(mask, self.n)
+        return ProductState(tuple(q.apply(gate) if f == "1" else q
+                                  for q, f in zip(self.qubits, flags)), self.global_phase)
 
     def apply_hk(self, k: int) -> "ProductState":
         """H_k = H^{k_1} x ... x H^{k_n}."""
@@ -155,10 +156,7 @@ class ProductState:
     def to_vector(self) -> np.ndarray:
         """Dense 2^n state vector (qubit 0 is the most significant factor)."""
         qmat.check_dim(1 << self.n)
-        vec = self.qubits[0].to_vector()
-        for q in self.qubits[1:]:
-            vec = np.kron(vec, q.to_vector())
-        return _I_POW[self.global_phase] * vec
+        return _I_POW[self.global_phase] * reduce(np.kron, [q.to_vector() for q in self.qubits])
 
     def to_density(self) -> np.ndarray:
         v = self.to_vector()

@@ -286,6 +286,8 @@ def encrypt(pk: PublicKey, message: int, rng: np.random.Generator | None = None,
             if rng is None:
                 raise ValueError("need an rng to draw the mask j")
             j = bits.rand_parity_bits(rng, n, message)
+        elif not 0 <= j < (1 << n):
+            raise ValueError(f"j: forced mask {j} does not fit in n={n} bits")
         elif bits.parity(j) != message:
             raise ValueError("forced j has the wrong parity for this message")
         quantum = pk.quantum.apply_yj(j)
@@ -293,13 +295,17 @@ def encrypt(pk: PublicKey, message: int, rng: np.random.Generator | None = None,
     return Ciphertext(pk.scheme, n, pk.m, pk.label, quantum)
 
 
-def decrypt(sk: PrivateKey, ct: Ciphertext,
-            rng: np.random.Generator | None = None) -> int:
-    """Decrypt a ciphertext with the matching private key.
+def _read_out(state: ProductState, name: str) -> int:
+    """Readout of a state the key has turned back into |0>s and |1>s; an X
+    symbol left over would read out at random, so the state is not for this key."""
+    if "X" in state.basis_string():
+        raise ValueError(f"{name}: state does not match this private key")
+    return state.measure_computational()
 
-    The optional rng is only consulted if a measurement outcome is genuinely
-    random, which cannot happen when key material and ciphertext agree.
-    """
+
+def decrypt(sk: PrivateKey, ct: Ciphertext) -> int:
+    """Decrypt a ciphertext with the matching private key. A label or state
+    whose readout under this key would be random is rejected."""
     for name, theirs, mine in (("scheme", ct.scheme, sk.scheme), ("n", ct.n, sk.n),
                                ("m", ct.m, sk.m), ("quantum", ct.quantum.n, sk.n)):
         if theirs != mine:
@@ -308,7 +314,7 @@ def decrypt(sk: PrivateKey, ct: Ciphertext,
     if spec.label == "qubits":
         # Measuring each label qubit in the basis it was encoded in is the
         # same as applying H wherever l has a 1 and reading out computationally.
-        s = s.apply_mask("H", sk.l).measure_computational()
+        s = _read_out(s.apply_mask("H", sk.l), "label")
     k, offset = _basis_key(sk, s), _offset(sk, s)
     q = ct.quantum
     if sk.scheme == SchemeId.PAN10:
@@ -319,7 +325,7 @@ def decrypt(sk: PrivateKey, ct: Ciphertext,
                 and q.rel_phase % 2 == 0):
             raise ValueError("ciphertext state does not match either phase branch")
         return q.rel_phase // 2
-    out = q.apply_hk(k).measure_computational(rng) ^ offset
+    out = _read_out(q.apply_hk(k), "quantum") ^ offset
     return out if spec.wide else bits.parity(out)
 
 

@@ -102,6 +102,17 @@ def test_sigma_b_is_density():
             qmat.assert_density_operator(sigma_b(n, b))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: sigma_b(0, 0),
+    lambda: cipher_mixture(SchemeId.A, 0, 0),
+    lambda: pubkey_mixture_A(0),
+    lambda: multicopy_distance(0, 1),
+], ids=["sigma_b", "cipher_mixture", "pubkey_mixture_A", "multicopy_distance"])
+def test_zero_qubit_mixtures_are_rejected(build):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        build()
+
+
 def test_sigma_distance_closed_form():
     for n in range(1, 7):
         d = qmat.trace_distance(sigma_b(n, 0), sigma_b(n, 1))

@@ -18,6 +18,7 @@ def test_to_str_is_msb_first():
     assert bits.to_str(0b0110, 4) == "0110"
     assert bits.to_str(1, 3) == "001"
     assert bits.to_str(0, 1) == "0"
+    assert bits.to_str(0, 0) == ""
     with pytest.raises(ValueError):
         bits.to_str(8, 3)
     with pytest.raises(ValueError):

@@ -370,6 +370,32 @@ def test_non_integer_phases_and_widths_name_the_file(scheme, field, edit, reason
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+# Z <-> X on one qubit: the private key no longer turns it back into |0> or |1>.
+_FLIP_BASIS = {"Z0": "X+", "X+": "Z0", "Z1": "X-", "X-": "Z1"}
+
+
+@pytest.mark.parametrize("scheme, path, field", [
+    ("a", ["quantum", "qubits", 0], "quantum"),
+    ("enh", ["label", "qubits", 0], "label"),
+])
+def test_ciphertext_in_the_wrong_basis_is_a_one_line_error(scheme, path, field,
+                                                           tmp_path, capsys):
+    keys, ct = tmp_path / "keys", tmp_path / "ct.json"
+    assert main(["keygen", "--scheme", scheme, "--n", "3", "--seed", "7",
+                 "--out", str(keys)]) == 0
+    assert main(["encrypt", "--pub", str(keys / "pub_0000.json"), "--message", "1",
+                 "--out", str(ct)]) == 0
+    obj = json.loads(ct.read_text())
+    qubit = reduce(lambda o, key: o[key], path, obj)
+    qubit[0] = _FLIP_BASIS[qubit[0]]
+    ct.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["decrypt", "--priv", str(keys / "private.json"), "--ct", str(ct)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qpke decrypt: {field}: state does not match this private key\n"
+
+
 def test_rejected_input_exits_2_without_a_traceback(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,

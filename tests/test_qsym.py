@@ -56,6 +56,20 @@ def test_from_bits_msb_first():
     assert np.array_equal(vec, np.array([0, 0, 1, 0], dtype=complex))
 
 
+def test_from_bits_and_apply_mask_reject_values_outside_n_bits():
+    state = ProductState.from_bits(0b01, 2)
+    for bad in (0b101, -1):
+        with pytest.raises(ValueError, match="does not fit in 2 bits"):
+            ProductState.from_bits(bad, 2)
+        with pytest.raises(ValueError, match="does not fit in 2 bits"):
+            state.apply_mask("X", bad)
+    with pytest.raises(ValueError, match="at least one qubit"):
+        ProductState.from_bits(0, 0)
+    with pytest.raises(IndexError):
+        state.apply_gate("X", 2)
+    assert state.apply_gate("X", 0).basis_string() == "Z1Z1"
+
+
 def test_apply_yj_example():
     # Y (x) Y on |1>|->: the phase kicks 3 and 1 cancel mod 4
     state = ProductState((QubitSymbol(Z1), QubitSymbol(XM)))
@@ -109,6 +123,18 @@ def test_decryption_identity():
         j = bits.rand_bits(rng, n)
         out = ProductState.from_bits(i, n).apply_hk(k).apply_yj(j).apply_hk(k)
         assert out.basis_string() == ProductState.from_bits(i ^ j, n).basis_string()
+        assert out.total_phase == (2 * bits.dot(j, i ^ k) + bits.weight(j)) % 4
+
+
+def test_decryption_identity_at_n256():
+    # far past the dense range: the symbols alone carry basis and phase
+    rng = np.random.default_rng(16)
+    n = 256
+    for _ in range(20):
+        i, k, j = (bits.rand_bits(rng, n) for _ in range(3))
+        out = ProductState.from_bits(i, n).apply_hk(k).apply_yj(j).apply_hk(k)
+        assert out.basis_string() == ProductState.from_bits(i ^ j, n).basis_string()
+        assert out.measure_computational() == i ^ j
         assert out.total_phase == (2 * bits.dot(j, i ^ k) + bits.weight(j)) % 4
 
 

@@ -125,6 +125,10 @@ def test_forced_mask_parity_validation():
         encrypt(pk, 1, j=0b110)  # parity 0 mask for message 1
     ct = encrypt(pk, 1, j=0b100)
     assert ct.n == 3
+    # a forced mask must fit in n bits: 1001 has parity 0 but a fourth bit
+    for wide in (0b1001, -1):
+        with pytest.raises(ValueError, match="j: forced mask"):
+            encrypt(pk, bits.parity(wide), j=wide, allow_reuse=True)
 
 
 def test_public_keys_are_single_use():
