@@ -52,8 +52,6 @@ __all__ = [
     "cipher_distance_report",
     "multicopy_distance",
     "pan10_mixture_distance",
-    "helstrom_projector",
-    "helstrom_advantage",
 ]
 
 def csv_cell(value) -> str:
@@ -416,39 +414,3 @@ def pan10_mixture_distance(n: int, t: int) -> list[SecurityReport]:
         SecurityReport("pan10_combined", "pan10", n, t, "uniform_k", "shared_s",
                        comb, comb_bound),
     ]
-
-
-# ---------------------------------------------------------------------------
-# Optimal two-hypothesis measurement.
-
-def helstrom_projector(rho0: np.ndarray, rho1: np.ndarray) -> np.ndarray:
-    """Projector onto the non-negative eigenspace of rho0 - rho1 (ties count
-    toward hypothesis 0)."""
-    delta = np.asarray(rho0, dtype=complex) - np.asarray(rho1, dtype=complex)
-    if not qmat.is_hermitian(delta):
-        raise ValueError("hypotheses must be Hermitian")
-    eigvals, eigvecs = np.linalg.eigh(delta)
-    keep = eigvecs[:, eigvals >= -1e-12]
-    return keep @ keep.conj().T
-
-
-def helstrom_advantage(rho0: np.ndarray, rho1: np.ndarray, samples: int = 0,
-                       rng: np.random.Generator | None = None):
-    """Analytic optimal success probability 1/2 + D(rho0, rho1)/2, plus an
-    empirical success rate from `samples` labeled draws measured with the
-    optimal projector (omitted when samples == 0)."""
-    analytic = 0.5 + 0.5 * qmat.trace_distance(rho0, rho1)
-    if samples == 0:
-        return analytic, None
-    if rng is None:
-        raise ValueError("need an rng to sample")
-    proj = helstrom_projector(rho0, rho1)
-    p_guess0 = (
-        float(np.trace(proj @ rho0).real),
-        float(np.trace(proj @ rho1).real),
-    )
-    labels = rng.integers(0, 2, size=samples)
-    probs = np.where(labels == 0, p_guess0[0], p_guess0[1])
-    guessed0 = rng.random(samples) < probs
-    success = np.where(labels == 0, guessed0, ~guessed0)
-    return analytic, float(np.mean(success))

@@ -8,13 +8,14 @@ rates next to their analytic values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 import numpy as np
 
-from . import bits, qmat
-from .analysis import cipher_mixture, csv_cell, helstrom_projector
+from . import bits
+from .analysis import csv_cell
 from .boolfn import RandomOracle, gf2_insert, gf2_nullspace
 from .qsym import TwoTermState
 from .schemes import SCHEMES, SchemeId, copy_public_key, keygen, message_width
@@ -22,7 +23,6 @@ from .schemes import SCHEMES, SchemeId, copy_public_key, keygen, message_width
 __all__ = [
     "AttackOutcome",
     "DistinguisherOutcome",
-    "ATTACK_CSV_HEADER",
     "GAME_SCHEMES",
     "pan10_shared_key_stream",
     "pan10_measure_equation",
@@ -97,9 +97,6 @@ class DistinguisherOutcome(_Outcome):
     sigma: float
     success: bool
     seed: int | None = None
-
-
-ATTACK_CSV_HEADER = AttackOutcome.csv_header()
 
 
 def pan10_shared_key_stream(n: int, rng: np.random.Generator, m: int | None = None):
@@ -216,29 +213,37 @@ def ciphertext_distinguisher(scheme: SchemeId, n: int, samples: int,
                              seed: int | None = None) -> DistinguisherOutcome:
     """Play the two-message distinguishing game with the optimal measurement.
 
-    The messages are 0 and 2^width - 1. The adversary holds the exact
-    ciphertext mixtures for both and measures each sampled ciphertext with
-    the optimal projector; the empirical success rate must match the
-    analytic ceiling 1/2 + D/2 within three binomial standard deviations.
+    The messages are 0 and 2^width - 1. Each sampled ciphertext is measured
+    with the Helstrom projector P of the two ciphertext mixtures rho_0 and
+    rho_1, and the empirical success rate must match the ceiling
+    1/2 + D(rho_0, rho_1)/2 within three binomial standard deviations.
+
+    Both are closed forms, so no operator is built and any n runs. For a,
+    rho_0 - rho_1 = 2^(1-3n/2) H^(x)n, so P = (I + H^(x)n)/2 and
+    D = (sqrt(2)/2)^n; for b and m2, rho_0 = rho_1 = I/2^n, so D = 0 and
+    P = I (ties count toward message 0). The tests hold both to the dense
+    mixtures and projector (tests/dense_oracles.py).
 
     Each sample draws the message index b, a protocol ciphertext Y_j H_k |i>
     in the uniform-k key model (k, i, j), then the measurement's
-    rng.random(). Every ciphertext v of message b is accepted as message 0
-    with the same probability <v|P|v> = tr(P rho_b): for b and m2 rho_0 =
-    rho_1 = I/2^n and P = I; for a P = (I + H^(x)n)/2, and
-    <v|H^(x)n|v> = (-1)^b 2^(-n/2) for every H_k |i xor j>. So the sample is
-    measured against tr(P rho_b), and v is never densified.
+    rng.random(). Every ciphertext v of message b passes P with the same
+    probability tr(P rho_b): 1/2 +- D/2 for a, as <v|H^(x)n|v> =
+    (-1)^b 2^(-n/2) for every H_k |i xor j>, and 1 for b and m2. So v is
+    never densified.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     scheme = SchemeId(scheme)
     if scheme not in GAME_SCHEMES:
         raise ValueError(f"distinguishing game not defined for scheme {scheme}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     messages = (0, (1 << message_width(scheme, n)) - 1)
-    rho = [cipher_mixture(scheme, n, message) for message in messages]
-    analytic = 0.5 + 0.5 * qmat.trace_distance(rho[0], rho[1])
-    proj = helstrom_projector(rho[0], rho[1])
-    accept = [float(np.trace(proj @ r).real) for r in rho]
+    if scheme == SchemeId.A:
+        d = math.sqrt(0.5) ** n
+        accept, analytic = (0.5 + 0.5 * d, 0.5 - 0.5 * d), 0.5 + 0.5 * d
+    else:
+        accept, analytic = (1.0, 1.0), 0.5
     wide = SCHEMES[scheme].wide
     wins = 0
     for _ in range(samples):
@@ -253,8 +258,7 @@ def ciphertext_distinguisher(scheme: SchemeId, n: int, samples: int,
             bits.rand_parity_bits(rng, n, messages[b])
         wins += (rng.random() < accept[b]) == (b == 0)
     empirical = wins / samples
-    sigma = float(np.sqrt(analytic * (1 - analytic) / samples)) if analytic < 1 \
-        else float(np.sqrt(0.25 / samples))
+    sigma = math.sqrt(analytic * (1 - analytic) / samples)
     success = abs(empirical - analytic) <= 3 * sigma
     return DistinguisherOutcome("distinguish", scheme.value, n, samples,
                                 empirical, analytic, sigma, success, seed)

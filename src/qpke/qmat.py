@@ -18,15 +18,12 @@ __all__ = [
     "is_hermitian",
     "trace_norm",
     "trace_distance",
-    "assert_density_operator",
 ]
 
 DEFAULT_DIM_CAP = 1 << 12
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
-PSD_TOL = 1e-9
-ZERO_EIG_TOL = 1e-12
 
 
 class DimensionCapError(ValueError):
@@ -88,23 +85,3 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
         if abs(np.trace(op).real - 1.0) > TRACE_TOL or abs(np.trace(op).imag) > TRACE_TOL:
             raise ValueError("trace_distance expects unit-trace operators")
     return 0.5 * trace_norm(rho - sigma)
-
-
-def assert_density_operator(rho: np.ndarray) -> None:
-    """Check Hermiticity, unit trace and positive semidefiniteness.
-
-    Eigenvalues with magnitude below 1e-12 count as zero; anything below
-    -1e-9 fails the PSD check.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho):
-        raise ValueError("density operator must be Hermitian")
-    tr = np.trace(rho)
-    if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
-        raise ValueError(f"density operator must have unit trace, got {tr}")
-    eigs = np.linalg.eigvalsh(rho)
-    low = float(np.min(eigs))
-    if abs(low) < ZERO_EIG_TOL:
-        low = 0.0
-    if low < -PSD_TOL:
-        raise ValueError(f"density operator has negative eigenvalue {low}")

@@ -162,22 +162,15 @@ class ProductState:
         v = self.to_vector()
         return np.outer(v, v.conj())
 
-    def measure_computational(self, rng: np.random.Generator | None = None) -> int:
+    def measure_computational(self) -> int:
         """Measure every qubit in the computational basis; returns the n-bit
-        outcome. Z symbols read out deterministically; each X symbol consumes
-        one rng bit, in qubit order. Without an rng the state must be a pure
-        computational state (this is how honest decryption reads out)."""
+        outcome. The state must be a pure computational state (this is how
+        honest decryption reads out): an X symbol would read out at random."""
         out = 0
         for q in self.qubits:
-            if q.basis == Z0:
-                b = 0
-            elif q.basis == Z1:
-                b = 1
-            elif rng is not None:
-                b = bits.rand_bits(rng, 1)
-            else:
-                raise ValueError("measurement outcome is random; pass an rng")
-            out = (out << 1) | b
+            if q.basis not in (Z0, Z1):
+                raise ValueError("measurement outcome is random: a qubit is in the X basis")
+            out = (out << 1) | (q.basis == Z1)
         return out
 
     def tensor(self, other: "ProductState") -> "ProductState":

@@ -454,6 +454,8 @@ def private_key_from_json(obj: dict) -> PrivateKey:
             raise ValueError(f"{name}: expected a function of {m} bits to {n_out}, "
                              f"got {fn.m} to {fn.n_out}")
         setattr(sk, name, fn)
+    if "pan10_table" in obj and scheme != SchemeId.PAN10:
+        raise ValueError(f"pan10_table: scheme {scheme.value} keys hold no table")
     table = obj.get("pan10_table", {})
     if not isinstance(table, dict):
         raise ValueError("pan10_table: expected an object of label: value bitstrings")

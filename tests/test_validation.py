@@ -106,6 +106,16 @@ def test_private_key_needs_exactly_its_fields():
         private_key_from_json(extra)
 
 
+@pytest.mark.parametrize("scheme", [s for s in SchemeId if s != SchemeId.PAN10])
+def test_pan10_table_is_rejected_on_other_schemes(scheme):
+    sk, _, _ = issued(scheme, m=6)
+    obj = private_key_to_json(sk)
+    reason = f"^pan10_table: scheme {scheme.value} keys hold no table$"
+    for table in ({"000000": "101"}, {}):
+        with pytest.raises(ValueError, match=reason):
+            private_key_from_json({**obj, "pan10_table": table})
+
+
 def test_f2_width_is_checked():
     sk, _, _ = issued(SchemeId.M2)
     obj = private_key_to_json(sk)
