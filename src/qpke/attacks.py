@@ -170,6 +170,51 @@ def pan10_key_recovery(pk_stream, max_copies: int, rng: np.random.Generator,
     return AttackOutcome("pan10-key", n, False, copies, None, equations, seed)
 
 
+_OWT_BLOCK = 1024  # trials per bulk draw: bounds the word arrays, and so the peak memory
+
+
+def _collision_block(words: np.ndarray, n: int, want: int) -> tuple[int, int, int]:
+    """(trials, collisions, words used) of the first `want` whole trials,
+    or as many as fit, read off consecutive 32-bit words in draw order."""
+    x = words >> np.uint64(32 - 2 * n)
+    out = words >> np.uint64(32 - n)
+    # nxt[s] is the first index after s whose input differs from x[s]: the
+    # x_i of a trial whose x_j is word s. nxt[len(words)] is a sentinel.
+    change = np.flatnonzero(x[1:] != x[:-1]) + 1
+    nxt = np.append(change, len(words))[
+        np.searchsorted(change, np.arange(len(words) + 1), side="right")].tolist()
+    last = len(words) - 3  # o(x_j) of a trial with x_i at t is word t + 2
+    x_i = []
+    s = 0
+    while len(x_i) < want and nxt[s] <= last:
+        x_i.append(nxt[s])
+        s = nxt[s] + 3
+    at = np.array(x_i, dtype=np.intp)
+    return len(x_i), int(np.count_nonzero(out[at + 1] == out[at + 2])), s
+
+
+def _random_oracle_collisions(n: int, trials: int, rng: np.random.Generator) -> int:
+    """Collisions of the scalar loop with a fresh RandomOracle per trial, at
+    2n <= 32, with the same draws. Each scalar rng.integers(0, 2^k), k <= 32,
+    uses one 32-bit word and returns its top k bits (Lemire's method, which
+    never rejects a power-of-two bound). So a block draws words in bulk,
+    reads its trials off them, restores the generator state and redraws
+    exactly the words used: the generator ends where the scalar loop ends."""
+    bitgen = rng.bit_generator
+    hits = done = extra = 0
+    while done < trials:
+        want = min(_OWT_BLOCK, trials - done)
+        state = bitgen.state
+        words = rng.integers(0, 1 << 32, size=4 * want + extra, dtype=np.uint64)
+        got, block_hits, used = _collision_block(words, n, want)
+        bitgen.state = state
+        rng.integers(0, 1 << 32, size=used, dtype=np.uint64)
+        extra = 0 if got else 2 * extra + 4  # x_i repeats past the block's words
+        done += got
+        hits += block_hits
+    return hits
+
+
 def owt_inversion_baseline(n: int, trials: int, rng: np.random.Generator,
                            f=None) -> float:
     """Output-collision rate of independent input pairs.
@@ -180,20 +225,29 @@ def owt_inversion_baseline(n: int, trials: int, rng: np.random.Generator,
     deviations of it. A deterministic f may be supplied instead (e.g. a
     constant function as a degenerate control), in which case no assertion
     is made.
+
+    Each trial draws, in this order: the input x_j, the input x_i, a fresh
+    x_i again while x_i == x_j, then the outputs f(x_i) and f(x_j). For a
+    random function at n <= 16 the trials are drawn in bulk with exactly
+    these draws, so the rate and the final generator state are those of
+    drawing them one at a time; a supplied f and n >= 17 draw one at a time.
     """
     if n < 1 or n > 20:
         raise ValueError("n must be between 1 and 20")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = 2 * n
-    hits = 0
-    for _ in range(trials):
-        oracle = f if f is not None else RandomOracle(m, n, rng)
-        x_j = bits.rand_bits(rng, m)
-        x_i = bits.rand_bits(rng, m)
-        while x_i == x_j:
+    if f is None and m <= 32:
+        hits = _random_oracle_collisions(n, trials, rng)
+    else:
+        hits = 0
+        for _ in range(trials):
+            oracle = f if f is not None else RandomOracle(m, n, rng)
+            x_j = bits.rand_bits(rng, m)
             x_i = bits.rand_bits(rng, m)
-        hits += oracle(x_i) == oracle(x_j)
+            while x_i == x_j:
+                x_i = bits.rand_bits(rng, m)
+            hits += oracle(x_i) == oracle(x_j)
     rate = hits / trials
     if f is None:
         p = 0.5 ** n

@@ -219,51 +219,65 @@ def cmd_sweep(args) -> int:
 
 ATTACK_TARGETS = ("pan10-key", "owt-baseline", "distinguish")
 
+# The options each attack target reads beyond --n, --seed, --out and
+# --format. They default to None, so a given option that its target does not
+# read is rejected; the target fills in its own defaults.
+ATTACK_OPTIONS = {"pan10-key": ("m", "runs", "max_copies"),
+                  "owt-baseline": ("samples",),
+                  "distinguish": ("scheme", "samples")}
+
 
 def _outcomes_csv(outcomes) -> str:
     return "\n".join([outcomes[0].csv_header(), *(o.to_csv_row() for o in outcomes)]) + "\n"
 
 
 def cmd_attack(args) -> int:
+    for name in ("scheme", "m", "runs", "samples", "max_copies"):
+        if getattr(args, name) is not None and name not in ATTACK_OPTIONS[args.target]:
+            raise ValueError(f"--{name.replace('_', '-')} is not read by "
+                             f"--target {args.target}")
     if args.target == "owt-baseline" and args.format == "csv":
         raise ValueError("owt-baseline has no CSV form; use --format json")
     rng = _rng(args.seed)
     if args.target == "pan10-key":
+        runs = args.runs or 100
         max_copies = args.max_copies or 4 * args.n
         outcomes = [attacks.pan10_key_recovery(
             attacks.pan10_shared_key_stream(args.n, rng, m=args.m), max_copies, rng,
-            seed=args.seed) for _ in range(args.runs)]
+            seed=args.seed) for _ in range(runs)]
         rate = sum(o.success for o in outcomes) / len(outcomes)
         mean_copies = sum(o.copies_used for o in outcomes) / len(outcomes)
         if args.format == "csv":
             _write_text(_outcomes_csv(outcomes), args.out)
         else:
             _dump_json({**_provenance(args, target=args.target, n=args.n,
-                                      runs=args.runs, max_copies=max_copies),
+                                      runs=runs, max_copies=max_copies),
                         "success_rate": rate, "mean_copies": mean_copies,
                         "runs": [o.to_json() for o in outcomes]}, args.out)
-        print(f"pan10-key n={args.n} runs={args.runs} success_rate={rate:.4f} "
+        print(f"pan10-key n={args.n} runs={runs} success_rate={rate:.4f} "
               f"mean_copies={mean_copies:.3f}", file=sys.stderr)
         return 0 if rate >= 0.99 else 1
 
+    samples = args.samples or 20000
     if args.target == "owt-baseline":
         try:
-            rate = attacks.owt_inversion_baseline(args.n, args.samples, rng)
+            rate = attacks.owt_inversion_baseline(args.n, samples, rng)
         except AssertionError as exc:  # the rate missed its 3-sigma band
             print(f"{args.target} FAILED: {exc}", file=sys.stderr)
             return 1
         _dump_json({**_provenance(args, target=args.target, n=args.n,
-                                  trials=args.samples),
+                                  trials=samples),
                     "rate": rate, "expected": 0.5 ** args.n}, args.out)
         return 0
 
-    outcome = attacks.ciphertext_distinguisher(SchemeId(args.scheme), args.n,
-                                               args.samples, rng, seed=args.seed)
+    scheme = args.scheme or "a"
+    outcome = attacks.ciphertext_distinguisher(SchemeId(scheme), args.n,
+                                               samples, rng, seed=args.seed)
     if args.format == "csv":
         _write_text(_outcomes_csv([outcome]), args.out)
     else:
         _dump_json({**_provenance(args, target=args.target, n=args.n,
-                                  scheme=args.scheme, samples=args.samples),
+                                  scheme=scheme, samples=samples),
                     **outcome.to_json()}, args.out)
     return 0 if outcome.success else 1
 
@@ -323,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run an attack or baseline")
     p.add_argument("--target", required=True, choices=ATTACK_TARGETS)
-    p.add_argument("--scheme", default="a", choices=[s.value for s in attacks.GAME_SCHEMES])
+    p.add_argument("--scheme", choices=[s.value for s in attacks.GAME_SCHEMES])
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--runs", type=_positive_int, default=100)
-    p.add_argument("--samples", type=_positive_int, default=20000)
-    p.add_argument("--max-copies", dest="max_copies", type=_positive_int, default=None)
+    p.add_argument("--m", type=int)
+    p.add_argument("--runs", type=_positive_int)
+    p.add_argument("--samples", type=_positive_int)
+    p.add_argument("--max-copies", dest="max_copies", type=_positive_int)
     common(p)
     p.set_defaults(func=cmd_attack)
 

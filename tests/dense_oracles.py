@@ -1,14 +1,16 @@
-"""Dense reference implementations used only by the tests.
+"""Reference implementations used only by the tests.
 
-The package computes the distinguishing game in closed form and never
-checks density operators at run time; these dense routes are the tests'
-independent cross-checks: a full eigendecomposition for the optimal
-two-hypothesis (Helstrom) measurement, and a spectrum check for density
-operators.
+The package computes the distinguishing game in closed form, never checks
+density operators at run time, and draws the collision baseline's trials in
+bulk; these direct routes are the tests' independent cross-checks: a full
+eigendecomposition for the optimal two-hypothesis (Helstrom) measurement,
+a spectrum check for density operators, and the collision baseline's loop
+that draws one value at a time.
 """
 import numpy as np
 
-from qpke import qmat
+from qpke import bits, qmat
+from qpke.boolfn import RandomOracle
 
 PSD_TOL = 1e-9
 ZERO_EIG_TOL = 1e-12
@@ -65,3 +67,30 @@ def helstrom_advantage(rho0: np.ndarray, rho1: np.ndarray, samples: int = 0,
     guessed0 = rng.random(samples) < probs
     success = np.where(labels == 0, guessed0, ~guessed0)
     return analytic, float(np.mean(success))
+
+
+def owt_inversion_baseline(n: int, trials: int, rng: np.random.Generator,
+                           f=None) -> float:
+    """The collision baseline drawn one value at a time: a fresh RandomOracle
+    per trial, x_j, x_i (redrawn while equal to x_j), then o(x_i), o(x_j)."""
+    if n < 1 or n > 20:
+        raise ValueError("n must be between 1 and 20")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    m = 2 * n
+    hits = 0
+    for _ in range(trials):
+        oracle = f if f is not None else RandomOracle(m, n, rng)
+        x_j = bits.rand_bits(rng, m)
+        x_i = bits.rand_bits(rng, m)
+        while x_i == x_j:
+            x_i = bits.rand_bits(rng, m)
+        hits += oracle(x_i) == oracle(x_j)
+    rate = hits / trials
+    if f is None:
+        p = 0.5 ** n
+        sigma = np.sqrt(p * (1 - p) / trials)
+        if abs(rate - p) > 3 * sigma:
+            raise AssertionError(
+                f"collision rate {rate} deviates from {p} by more than 3 sigma")
+    return rate

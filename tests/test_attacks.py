@@ -1,9 +1,11 @@
 """Attack simulations: key recovery from superposition keys, collision
 baselines, and the optimal distinguishing game."""
+import json
+
 import numpy as np
 import pytest
 
-from qpke import bits
+from qpke import attacks, bits
 from qpke.analysis import cipher_mixture
 from qpke.attacks import (GAME_SCHEMES, AttackOutcome, DistinguisherOutcome,
                           ciphertext_distinguisher, owt_inversion_baseline,
@@ -13,6 +15,7 @@ from qpke.boolfn import gf2_nullspace
 from qpke.qsym import ProductState, TwoTermState
 from qpke.schemes import SCHEMES, SchemeId, keygen, message_width
 
+import dense_oracles
 from dense_oracles import helstrom_advantage, helstrom_projector
 
 
@@ -201,6 +204,65 @@ def test_owt_collision_rate():
 def test_owt_constant_function_always_collides():
     rng = np.random.default_rng(68)
     assert owt_inversion_baseline(3, 50, rng, f=lambda x: 7) == 1.0
+
+
+def owt_routes(n, trials, make_rng, f=None):
+    """For the package's route and the reference loop, each on a fresh
+    make_rng(): the rate or the 3-sigma miss's message, and the final
+    generator state (as JSON: some bit generators keep arrays in it)."""
+    results = []
+    for baseline in (owt_inversion_baseline, dense_oracles.owt_inversion_baseline):
+        rng = make_rng()
+        try:
+            result = repr(baseline(n, trials, rng, f=f))
+        except AssertionError as exc:
+            result = str(exc)
+        results.append((result, json.dumps(rng.bit_generator.state, sort_keys=True,
+                                           default=lambda a: a.tolist())))
+    return results
+
+
+@pytest.mark.parametrize("n, trials", [
+    (1, 1), (1, 3), (1, 1023), (1, 1024), (1, 1025), (1, 2049),  # n = 1: 1 trial in 4 retries
+    (2, 1025), (5, 3000), (8, 1024), (8, 2048), (16, 1025),
+    (17, 3), (20, 3),  # 64-bit input words: drawn one at a time
+])
+@pytest.mark.parametrize("seed", range(3))
+def test_bulk_collision_baseline_matches_the_scalar_loop(n, trials, seed):
+    bulk, scalar = owt_routes(n, trials, lambda: np.random.default_rng(seed))
+    assert bulk == scalar
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_small_blocks_keep_the_draws(block, n, monkeypatch):
+    # a one-trial block at n = 1 often ends inside an x_i retry run
+    monkeypatch.setattr(attacks, "_OWT_BLOCK", block)
+    for seed in range(4):
+        bulk, scalar = owt_routes(n, 300, lambda: np.random.default_rng(seed))
+        assert bulk == scalar
+
+
+def test_bulk_collision_baseline_keeps_the_raise():
+    # 561 collisions in 1025 trials at n = 1: 3.03 sigma above 1/2
+    bulk, scalar = owt_routes(1, 1025, lambda: np.random.default_rng(82))
+    assert bulk == scalar
+    assert bulk[0].startswith("collision rate 0.5473170731707317 deviates from 0.5")
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64, np.random.PCG64DXSM])
+def test_bulk_collision_baseline_matches_on_other_bit_generators(bit_generator):
+    for n in (1, 6):
+        bulk, scalar = owt_routes(n, 1500, lambda: np.random.Generator(bit_generator(5)))
+        assert bulk == scalar
+
+
+@pytest.mark.parametrize("f", [lambda x: 7, lambda x: x & 3, lambda x: x >> 30])
+def test_supplied_function_matches_the_scalar_loop(f):
+    for n in (1, 8, 16, 20):
+        bulk, scalar = owt_routes(n, 200, lambda: np.random.default_rng(n), f=f)
+        assert bulk == scalar
 
 
 def test_owt_validation():

@@ -267,6 +267,40 @@ def test_attack_limits_are_one_line_errors(argv, capsys):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+@pytest.mark.parametrize("target, argv, option", [
+    ("distinguish", ["--m", "1", "--runs", "7", "--max-copies", "2"], "--m"),
+    ("distinguish", ["--runs", "7"], "--runs"),
+    ("distinguish", ["--max-copies", "2"], "--max-copies"),
+    ("owt-baseline", ["--m", "6"], "--m"),
+    ("owt-baseline", ["--runs", "7", "--samples", "100"], "--runs"),
+    ("owt-baseline", ["--max-copies", "2"], "--max-copies"),
+    ("owt-baseline", ["--scheme", "a"], "--scheme"),
+    ("pan10-key", ["--scheme", "b"], "--scheme"),
+    ("pan10-key", ["--samples", "50"], "--samples"),
+    ("pan10-key", ["--runs", "2", "--samples", "50", "--format", "csv"], "--samples"),
+])
+def test_attack_rejects_options_its_target_does_not_read(target, argv, option, capsys):
+    assert main(["attack", "--target", target, "--n", "3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qpke attack: {option} is not read by --target {target}\n"
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["--target", "pan10-key", "--n", "3"], ["--runs", "100"]),
+    (["--target", "pan10-key", "--n", "3", "--format", "csv"], ["--runs", "100"]),
+    (["--target", "owt-baseline", "--n", "4"], ["--samples", "20000"]),
+    (["--target", "distinguish", "--n", "2", "--samples", "500"], ["--scheme", "a"]),
+    (["--target", "distinguish", "--n", "2", "--format", "csv", "--samples", "500"],
+     ["--scheme", "a"]),
+])
+def test_attack_defaults_match_the_options_given(argv, defaults, capsys):
+    assert main(["attack", *argv]) == 0
+    omitted = capsys.readouterr()
+    assert main(["attack", *argv, *defaults]) == 0
+    assert capsys.readouterr() == omitted
+
+
 def test_distinguish_has_no_dimension_limit(capsys):
     # the game is played in closed form, so n = 256 runs with default samples
     assert main(["attack", "--target", "distinguish", "--scheme", "a", "--n", "256"]) == 0
