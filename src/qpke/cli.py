@@ -217,9 +217,7 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-ATTACK_TARGETS = ("pan10-key", "owt-baseline", "distinguish")
-
-# The options each attack target reads beyond --n, --seed, --out and
+# Attack target -> the options it reads beyond --n, --seed, --out and
 # --format. They default to None, so a given option that its target does not
 # read is rejected; the target fills in its own defaults.
 ATTACK_OPTIONS = {"pan10-key": ("m", "runs", "max_copies"),
@@ -336,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze, format="csv", **ROW_DEFAULTS)
 
     p = sub.add_parser("attack", help="run an attack or baseline")
-    p.add_argument("--target", required=True, choices=ATTACK_TARGETS)
+    p.add_argument("--target", required=True, choices=tuple(ATTACK_OPTIONS))
     p.add_argument("--scheme", choices=[s.value for s in attacks.GAME_SCHEMES])
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=int)
