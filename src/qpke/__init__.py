@@ -8,7 +8,6 @@ from .schemes import (  # noqa: F401
     PrivateKey,
     PublicKey,
     SchemeId,
-    adversary_view,
     decrypt,
     encrypt,
     keygen,

@@ -273,16 +273,13 @@ def _b_pubkey_state(n: int, k: int, p: int | None) -> np.ndarray:
     return _sector_mixture([_SIGNAL[bits.bit_at(k, a, n)] for a in range(n)], p)
 
 
-def _joint_state(n: int, t: int, b: int, pairs_and_weights, shared: bool) -> np.ndarray:
-    """Ciphertext of bit b followed by t public-key copies, averaged over the
-    weighted (k, p) pairs: jointly when all slots share s, slot by slot when
-    each slot draws its own."""
+def _joint_state(n: int, t: int, b: int, pairs_and_weights) -> np.ndarray:
+    """Ciphertext of bit b followed by t public-key copies with its label s,
+    averaged over the weighted (k, p) pairs that the slots share."""
     qmat.check_dim(1 << (n * (t + 1)))
-    slots = [(w, _b_pubkey_state(n, k, p ^ b), _b_pubkey_state(n, k, p))
-             for (k, p), w in pairs_and_weights]
-    if not shared:
-        slots = [(1.0, sum(w * c for w, c, _ in slots), sum(w * tau for w, _, tau in slots))]
-    return sum(w * reduce(np.kron, [cipher] + [tau] * t) for w, cipher, tau in slots)
+    return sum(w * reduce(np.kron, [_b_pubkey_state(n, k, p ^ b)]
+                          + [_b_pubkey_state(n, k, p)] * t)
+               for (k, p), w in pairs_and_weights)
 
 
 def multicopy_distance(n: int, copies: int, *, reuse: str = "fresh_s",
@@ -292,11 +289,14 @@ def multicopy_distance(n: int, copies: int, *, reuse: str = "fresh_s",
     """Trace distance between the b=0 and b=1 joint states of one scheme-b
     ciphertext plus `copies` public-key copies.
 
-    fresh_s: every copy carries an independent s, so averaging over the key
-    family factorizes each slot to I/2^n and the distance vanishes.
-    shared_s: all copies reuse one s, so one (k, p) pair is shared; the
-    joint states stay correlated and the distance is strictly positive
-    (recorded as informational, no closed-form target).
+    shared_s: every copy is a public key with the ciphertext's label s, so
+    the slots share one (k, p) pair and each draws its own i (they are not
+    copies of one key, which would share i too). The joint states stay
+    correlated; the row is informational, with no closed-form target.
+    fresh_s: every copy has its own s, so rho_b = c_b (x) tau^(x)copies for
+    the averaged ciphertext c_b and public key tau. As ||X (x) tau||_1 =
+    ||X||_1 for a density operator tau, the distance is D(c_0, c_1): the
+    shared_s route at no copies. Under uniform_k, c_0 = c_1 and it is 0.
     sampled_anf replaces the uniform (k, p) by `samples` draws of explicit
     keys from rng; seed is recorded in the report.
     """
@@ -306,8 +306,10 @@ def multicopy_distance(n: int, copies: int, *, reuse: str = "fresh_s",
         raise ValueError(f"unknown key model {key_model!r}")
     if copies < 0:
         raise ValueError("copies must be >= 0")
-    if n * (copies + 1) > 10:
-        raise ValueError("n*(copies+1) must stay <= 10 to keep matrices small")
+    joint = copies if reuse == "shared_s" else 0
+    if n * (joint + 1) > 10:
+        raise ValueError("n*(copies+1) must stay <= 10 under shared_s, and n <= 10 "
+                         "under fresh_s, to keep matrices small")
     if key_model == "sampled_anf":
         if rng is None or samples < 1:
             raise ValueError("sampled_anf needs an rng and a positive sample count")
@@ -323,8 +325,7 @@ def multicopy_distance(n: int, copies: int, *, reuse: str = "fresh_s",
         w = 1.0 / (1 << (n + 1))
         pairs = [((k, p), w) for k in range(1 << n) for p in (0, 1)]
 
-    shared = reuse == "shared_s"
-    rho0, rho1 = (_joint_state(n, copies, b, pairs, shared) for b in (0, 1))
+    rho0, rho1 = (_joint_state(n, joint, b, pairs) for b in (0, 1))
 
     d = qmat.trace_distance(rho0, rho1)
     bound = 0.0 if reuse == "fresh_s" and key_model == "uniform_k" else None

@@ -215,46 +215,41 @@ def _random_oracle_collisions(n: int, trials: int, rng: np.random.Generator) -> 
     return hits
 
 
-def owt_inversion_baseline(n: int, trials: int, rng: np.random.Generator,
-                           f=None) -> float:
+def owt_inversion_baseline(n: int, trials: int, rng: np.random.Generator) -> float:
     """Output-collision rate of independent input pairs.
 
     For each trial a fresh uniformly random function {0,1}^(2n) -> {0,1}^n is
     queried on two distinct inputs; the collision probability is exactly
     2^-n, and the observed rate is required to sit within 3 binomial standard
-    deviations of it. A deterministic f may be supplied instead (e.g. a
-    constant function as a degenerate control), in which case no assertion
-    is made.
+    deviations of it.
 
     Each trial draws, in this order: the input x_j, the input x_i, a fresh
-    x_i again while x_i == x_j, then the outputs f(x_i) and f(x_j). For a
-    random function at n <= 16 the trials are drawn in bulk with exactly
-    these draws, so the rate and the final generator state are those of
-    drawing them one at a time; a supplied f and n >= 17 draw one at a time.
+    x_i again while x_i == x_j, then the outputs f(x_i) and f(x_j). At
+    n <= 16 the trials are drawn in bulk with exactly these draws, so the
+    rate and the final generator state are those of drawing them one at a
+    time; n = 17..20 draws one at a time.
     """
     if n < 1 or n > 20:
         raise ValueError("n must be between 1 and 20")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = 2 * n
-    if f is None and m <= 32:
+    if m <= 32:
         hits = _random_oracle_collisions(n, trials, rng)
     else:
         hits = 0
         for _ in range(trials):
-            oracle = f if f is not None else RandomOracle(m, n, rng)
+            oracle = RandomOracle(m, n, rng)
             x_j = bits.rand_bits(rng, m)
             x_i = bits.rand_bits(rng, m)
             while x_i == x_j:
                 x_i = bits.rand_bits(rng, m)
             hits += oracle(x_i) == oracle(x_j)
     rate = hits / trials
-    if f is None:
-        p = 0.5 ** n
-        sigma = np.sqrt(p * (1 - p) / trials)
-        if abs(rate - p) > 3 * sigma:
-            raise AssertionError(
-                f"collision rate {rate} deviates from {p} by more than 3 sigma")
+    p = 0.5 ** n
+    sigma = np.sqrt(p * (1 - p) / trials)
+    if abs(rate - p) > 3 * sigma:
+        raise AssertionError(f"collision rate {rate} deviates from {p} by more than 3 sigma")
     return rate
 
 

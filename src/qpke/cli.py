@@ -74,6 +74,14 @@ def _load(path: str, loader):
         raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+def _reject_unread(args, reads: tuple[str, ...], names: tuple[str, ...]) -> None:
+    """Reject any option in names that was given but is not in reads."""
+    for name in names:
+        if getattr(args, name) is not None and name not in reads:
+            raise ValueError(f"--{name.replace('_', '-')} is not read by "
+                             f"--target {args.target}")
+
+
 def _provenance(args, **config) -> dict:
     return {"seed": args.seed, "version": __version__, "config": config}
 
@@ -182,6 +190,12 @@ TARGETS = {
                      [(n, tuple(t for t in (1, 2) if n * t <= 10), {}) for n in range(3, 7)]),
 }
 
+# Analysis target -> the row options it reads; every other target reads none.
+# They default to None, so a given option that its target does not read is
+# rejected; the defaults (t = 1 and ROW_DEFAULTS) are filled in after.
+TARGET_OPTIONS = {"multicopy": ("t", "key_model", "reuse", "samples"),
+                  "pan10-bounds": ("t",)}
+
 
 def _emit_reports(reports: list[SecurityReport], args, config: dict) -> int:
     if args.format == "csv":
@@ -199,6 +213,11 @@ def _emit_reports(reports: list[SecurityReport], args, config: dict) -> int:
 
 
 def cmd_analyze(args) -> int:
+    defaults = {"t": "1", **ROW_DEFAULTS}
+    _reject_unread(args, TARGET_OPTIONS.get(args.target, ()), tuple(defaults))
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     rng = _rng(args.seed)
     ns, ts = _parse_range(args.n), _parse_range(args.t)
     reports = [r for n in ns for r in TARGETS[args.target][0](n, ts, args, rng)]
@@ -218,8 +237,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 # Attack target -> the options it reads beyond --n, --seed, --out and
-# --format. They default to None, so a given option that its target does not
-# read is rejected; the target fills in its own defaults.
+# --format, checked like TARGET_OPTIONS; the target fills in its own defaults.
 ATTACK_OPTIONS = {"pan10-key": ("m", "runs", "max_copies"),
                   "owt-baseline": ("samples",),
                   "distinguish": ("scheme", "samples")}
@@ -230,10 +248,8 @@ def _outcomes_csv(outcomes) -> str:
 
 
 def cmd_attack(args) -> int:
-    for name in ("scheme", "m", "runs", "samples", "max_copies"):
-        if getattr(args, name) is not None and name not in ATTACK_OPTIONS[args.target]:
-            raise ValueError(f"--{name.replace('_', '-')} is not read by "
-                             f"--target {args.target}")
+    _reject_unread(args, ATTACK_OPTIONS[args.target],
+                   ("scheme", "m", "runs", "samples", "max_copies"))
     if args.target == "owt-baseline" and args.format == "csv":
         raise ValueError("owt-baseline has no CSV form; use --format json")
     rng = _rng(args.seed)
@@ -325,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, choices=tuple(TARGETS))
     p.add_argument("--n", required=True, type=_range_arg(1),
                    help="value or range, e.g. 3 or 1..8")
-    p.add_argument("--t", default="1", type=_range_arg(0),
-                   help="copy count or range (multicopy, pan10)")
+    p.add_argument("--t", type=_range_arg(0),
+                   help="copy count or range, default 1 (multicopy, pan10)")
     p.add_argument("--key-model", dest="key_model", choices=("uniform_k", "sampled_anf"))
     p.add_argument("--reuse", choices=("fresh_s", "shared_s"))
-    p.add_argument("--samples", type=int, help="ANF sample count")
+    p.add_argument("--samples", type=_positive_int, help="ANF sample count")
     common(p, out_default=None)
-    p.set_defaults(func=cmd_analyze, format="csv", **ROW_DEFAULTS)
+    p.set_defaults(func=cmd_analyze, format="csv")
 
     p = sub.add_parser("attack", help="run an attack or baseline")
     p.add_argument("--target", required=True, choices=tuple(ATTACK_OPTIONS))

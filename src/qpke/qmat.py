@@ -47,9 +47,10 @@ def check_dim(dim: int) -> int:
     return dim
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and np.max(np.abs(a - a.conj().T)) <= tol
+    return (a.ndim == 2 and a.shape[0] == a.shape[1]
+            and np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL)
 
 
 def trace_norm(a: np.ndarray) -> float:

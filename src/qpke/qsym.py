@@ -26,7 +26,6 @@ __all__ = [
     "XP",
     "XM",
     "BASIS_CODES",
-    "GATES",
     "GATE_ACTIONS",
     "QubitSymbol",
     "ProductState",
@@ -39,8 +38,6 @@ Z1 = "Z1"
 XP = "X+"
 XM = "X-"
 BASIS_CODES = (Z0, Z1, XP, XM)
-
-GATES = ("I", "X", "Y", "Z", "H")
 
 # gate -> basis -> (new basis, phase kick as an exponent of i).
 # Derived column by column from the matrices; e.g. Y|1> = -i|0> gives

@@ -39,14 +39,12 @@ __all__ = [
     "PrivateKey",
     "PublicKey",
     "Ciphertext",
-    "AdversaryView",
     "PublicKeyConsumedError",
     "message_width",
     "keygen",
     "issue_public_keys",
     "encrypt",
     "decrypt",
-    "adversary_view",
     "copy_public_key",
     "private_key_to_json",
     "private_key_from_json",
@@ -127,31 +125,6 @@ class Ciphertext:
     m: int
     label: object
     quantum: ProductState | TwoTermState
-
-
-@dataclass(frozen=True)
-class AdversaryView:
-    """Everything an eavesdropper holds: the published label and state.
-
-    Never carries the Boolean functions, the basis string l, the encoded
-    value i, the basis key k or the encryption mask j. The public label
-    width m prints the label at full width.
-    """
-
-    scheme: SchemeId
-    n: int
-    m: int
-    label: object
-    quantum: ProductState | TwoTermState
-
-    def to_json(self) -> dict:
-        return {
-            "view": "adversary",
-            "scheme": self.scheme.value,
-            "n": self.n,
-            "label": _label_to_json(self.label, self.m),
-            "quantum": _quantum_to_json_opaque(self.quantum),
-        }
 
 
 def message_width(scheme: SchemeId, n: int) -> int:
@@ -329,16 +302,9 @@ def decrypt(sk: PrivateKey, ct: Ciphertext) -> int:
     return out if spec.wide else bits.parity(out)
 
 
-def adversary_view(obj: PublicKey | Ciphertext) -> AdversaryView:
-    """What leaves Bob's lab: label and quantum state, nothing else."""
-    return AdversaryView(obj.scheme, obj.n, obj.m, obj.label, obj.quantum)
-
-
 # ---------------------------------------------------------------------------
-# JSON forms. Key owners serialize full records; adversary views replace the
-# two-term record with an unlabeled term pair so no field is literally named
-# after private data. The loaders check every field against the scheme's row
-# of SCHEMES, and each rejection is a ValueError that names its field.
+# JSON forms. The loaders check every field against the scheme's row of
+# SCHEMES, and each rejection is a ValueError that names its field.
 
 def _label_to_json(label, m: int):
     if isinstance(label, ProductState):
@@ -346,13 +312,6 @@ def _label_to_json(label, m: int):
     if isinstance(label, tuple):
         return [bits.to_str(s, m) for s in label]
     return bits.to_str(label, m)
-
-
-def _quantum_to_json_opaque(q) -> dict:
-    if isinstance(q, TwoTermState):
-        terms = sorted((bits.to_str(q.i, q.n), bits.to_str(q.i ^ q.k, q.n)))
-        return {"terms": terms, "rel_phase": q.rel_phase}
-    return q.to_json()
 
 
 def _parse(name: str, what: str, parse, obj):

@@ -69,8 +69,7 @@ def helstrom_advantage(rho0: np.ndarray, rho1: np.ndarray, samples: int = 0,
     return analytic, float(np.mean(success))
 
 
-def owt_inversion_baseline(n: int, trials: int, rng: np.random.Generator,
-                           f=None) -> float:
+def owt_inversion_baseline(n: int, trials: int, rng: np.random.Generator) -> float:
     """The collision baseline drawn one value at a time: a fresh RandomOracle
     per trial, x_j, x_i (redrawn while equal to x_j), then o(x_i), o(x_j)."""
     if n < 1 or n > 20:
@@ -80,17 +79,16 @@ def owt_inversion_baseline(n: int, trials: int, rng: np.random.Generator,
     m = 2 * n
     hits = 0
     for _ in range(trials):
-        oracle = f if f is not None else RandomOracle(m, n, rng)
+        oracle = RandomOracle(m, n, rng)
         x_j = bits.rand_bits(rng, m)
         x_i = bits.rand_bits(rng, m)
         while x_i == x_j:
             x_i = bits.rand_bits(rng, m)
         hits += oracle(x_i) == oracle(x_j)
     rate = hits / trials
-    if f is None:
-        p = 0.5 ** n
-        sigma = np.sqrt(p * (1 - p) / trials)
-        if abs(rate - p) > 3 * sigma:
-            raise AssertionError(
-                f"collision rate {rate} deviates from {p} by more than 3 sigma")
+    p = 0.5 ** n
+    sigma = np.sqrt(p * (1 - p) / trials)
+    if abs(rate - p) > 3 * sigma:
+        raise AssertionError(
+            f"collision rate {rate} deviates from {p} by more than 3 sigma")
     return rate

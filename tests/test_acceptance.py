@@ -15,12 +15,13 @@ from qpke.analysis import (channel_e1, channel_e2, cipher_mixture, identity_mixt
 from qpke.attacks import (owt_inversion_baseline, pan10_key_recovery,
                           pan10_shared_key_stream)
 from qpke.boolfn import RandomOracle, generate_balanced_f2
-from qpke.qsym import GATES, ProductState
+from qpke.qsym import GATE_ACTIONS, ProductState
 from qpke.schemes import SchemeId, decrypt, encrypt, keygen, message_width
 
 from dense_oracles import helstrom_advantage
 
 SQ = np.sqrt(2) / 2
+GATES = tuple(GATE_ACTIONS)
 
 GATE_MATRICES = {
     "I": np.eye(2, dtype=complex),

@@ -18,7 +18,7 @@ from qpke.analysis import (SecurityReport, channel_e1, channel_e2,
                            pubkey_mixture_A, pubkey_mixture_B,
                            report_ok, reports_to_csv, sigma_b,
                            sigma_bound_report)
-from qpke.boolfn import generate_random
+from qpke.boolfn import generate_balanced_f2, generate_random
 from qpke.qsym import ProductState, TwoTermState
 from qpke.schemes import SCHEMES, SchemeId, message_width
 
@@ -321,11 +321,44 @@ def test_b_cipher_state_is_the_pubkey_state_at_parity_p_xor_b():
 
 
 def test_multicopy_fresh_is_zero():
-    for n, t in ((2, 1), (2, 2), (3, 1)):
+    # exactly 0, also past the shared_s limit n*(t+1) <= 10
+    for n, t in ((2, 1), (2, 2), (3, 1), (4, 2), (3, 5), (5, 40)):
         r = multicopy_distance(n, t)
         assert r.bound == 0.0
-        assert r.computed < 1e-12
+        assert r.computed == 0.0
         assert report_ok(r)
+
+
+def _fresh_multicopy_dense(n, t, pairs):
+    """D(c_0 (x) tau^(x)t, c_1 (x) tau^(x)t) for the ciphertext and public-key
+    averages c_b and tau over the weighted (k, p) pairs."""
+    cipher = [sum(w * analysis._b_pubkey_state(n, k, p ^ b) for (k, p), w in pairs)
+              for b in (0, 1)]
+    tau = sum(w * analysis._b_pubkey_state(n, k, p) for (k, p), w in pairs)
+    return qmat.trace_distance(*(reduce(np.kron, [c] + [tau] * t) for c in cipher))
+
+
+def _anf_pairs(n, samples, rng):
+    """The weighted (k, p) pairs that the sampled_anf route draws from rng."""
+    pairs = []
+    for _ in range(samples):
+        f1 = generate_random(2 * n, n, rng)
+        f2 = generate_balanced_f2(2 * n, rng)
+        s = bits.rand_bits(rng, 2 * n)
+        pairs.append(((f1.evaluate(s), f2.evaluate(s)), 1.0 / samples))
+    return pairs
+
+
+# n = 6..10 admit only t = 0, where the oracle is the route itself.
+@pytest.mark.parametrize("n, t", [(n, t) for n in range(1, 6) for t in range(10 // n)])
+def test_multicopy_fresh_matches_the_product_state(n, t):
+    uniform = [((k, p), 1.0 / (1 << (n + 1))) for k in range(1 << n) for p in (0, 1)]
+    got = multicopy_distance(n, t).computed
+    assert abs(got - _fresh_multicopy_dense(n, t, uniform)) < 1e-12
+    got = multicopy_distance(n, t, key_model="sampled_anf", samples=30,
+                             rng=np.random.default_rng(n)).computed
+    want = _fresh_multicopy_dense(n, t, _anf_pairs(n, 30, np.random.default_rng(n)))
+    assert abs(got - want) < 1e-12
 
 
 def test_multicopy_shared_frozen_values():
@@ -367,7 +400,9 @@ def test_multicopy_validation():
     with pytest.raises(ValueError, match="copies must be >= 0"):
         multicopy_distance(2, -1)
     with pytest.raises(ValueError, match="must stay <= 10"):
-        multicopy_distance(4, 2)  # 4*3 > 10
+        multicopy_distance(4, 2, reuse="shared_s")  # 4*3 > 10
+    with pytest.raises(ValueError, match="n <= 10 under fresh_s"):
+        multicopy_distance(11, 0)
 
 
 # --- superposition-key bounds -----------------------------------------------

@@ -201,6 +201,7 @@ def test_analyze_pan10_bounds_at_n64(capsys):
     ["analyze", "--target", "pan10-bounds", "--n", "3", "--t", "2.."],
     ["analyze", "--target", "sigma-bound", "--n", "0..2"],
     ["analyze", "--target", "multicopy", "--n", "2", "--t", "-1"],
+    ["analyze", "--target", "multicopy", "--n", "2", "--samples", "0"],
     ["attack", "--target", "pan10-key", "--n", "3", "--runs", "0"],
     ["attack", "--target", "distinguish", "--n", "3", "--samples", "0"],
     ["attack", "--target", "owt-baseline", "--n", "3", "--samples", "-1"],
@@ -245,8 +246,9 @@ def test_dimension_cap_env(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--target", "sigma-bound", "--n", "20"],
-    ["--target", "multicopy", "--n", "4", "--t", "3"],
+    ["--target", "multicopy", "--n", "4", "--t", "3", "--reuse", "shared_s"],
     ["--target", "multicopy", "--key-model", "sampled_anf", "--n", "2"],
+    ["--target", "multicopy", "--n", "11"],
 ])
 def test_analyze_limits_are_one_line_errors(argv, capsys):
     assert main(["analyze", *argv]) == 2
@@ -284,6 +286,38 @@ def test_attack_rejects_options_its_target_does_not_read(target, argv, option, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"qpke attack: {option} is not read by --target {target}\n"
+
+
+@pytest.mark.parametrize("target, argv, option", [
+    ("sigma-bound", ["--t", "7"], "--t"),
+    ("sigma-bound", ["--reuse", "shared_s", "--key-model", "sampled_anf", "--samples", "5",
+                     "--t", "7"], "--t"),
+    ("sigma-bound", ["--key-model", "uniform_k"], "--key-model"),
+    ("scheme-b-cipher", ["--reuse", "fresh_s"], "--reuse"),
+    ("pubkey-leakage", ["--samples", "5"], "--samples"),
+    ("pan10-bounds", ["--t", "1", "--reuse", "shared_s"], "--reuse"),
+    ("pan10-bounds", ["--key-model", "sampled_anf"], "--key-model"),
+    ("pan10-bounds", ["--samples", "5", "--format", "json"], "--samples"),
+])
+def test_analyze_rejects_options_its_target_does_not_read(target, argv, option, capsys):
+    assert main(["analyze", "--target", target, "--n", "2", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qpke analyze: {option} is not read by --target {target}\n"
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["--target", "multicopy", "--n", "2"],
+     ["--t", "1", "--reuse", "fresh_s", "--key-model", "uniform_k"]),
+    (["--target", "multicopy", "--n", "2", "--format", "json"],
+     ["--t", "1", "--reuse", "fresh_s", "--key-model", "uniform_k"]),
+    (["--target", "pan10-bounds", "--n", "3", "--format", "json"], ["--t", "1"]),
+])
+def test_analyze_defaults_match_the_options_given(argv, defaults, capsys):
+    assert main(["analyze", *argv]) == 0
+    omitted = capsys.readouterr()
+    assert main(["analyze", *argv, *defaults]) == 0
+    assert capsys.readouterr() == omitted
 
 
 @pytest.mark.parametrize("argv, defaults", [

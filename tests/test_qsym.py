@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from qpke import bits
-from qpke.qsym import (BASIS_CODES, GATE_ACTIONS, GATES, XM, XP, Z0, Z1,
-                       ProductState, QubitSymbol, TwoTermState)
+from qpke.qsym import (BASIS_CODES, GATE_ACTIONS, XM, XP, Z0, Z1, ProductState,
+                       QubitSymbol, TwoTermState)
+
+GATES = tuple(GATE_ACTIONS)
 
 GATE_MATRICES = {
     "I": np.eye(2, dtype=complex),
