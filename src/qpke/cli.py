@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=_range_arg(1),
                    help="value or range, e.g. 3 or 1..8")
     p.add_argument("--t", type=_range_arg(0),
-                   help="copy count or range, default 1 (multicopy, pan10)")
+                   help="copy count or range (multicopy, pan10)")
     p.add_argument("--key-model", dest="key_model", choices=("uniform_k", "sampled_anf"))
     p.add_argument("--reuse", choices=("fresh_s", "shared_s"))
     p.add_argument("--samples", type=_positive_int, help="ANF sample count")
