@@ -30,8 +30,7 @@ from functools import reduce
 
 import numpy as np
 
-from . import bits, qmat
-from .boolfn import generate_balanced_f2, generate_random
+from . import bits, qmat, schemes
 from .qsym import Z0, Z1, QubitSymbol
 from .schemes import SchemeId, message_width
 
@@ -154,6 +153,7 @@ def _sector_mixture(pairs, parity=None) -> np.ndarray:
 
 
 def identity_mixture(n: int) -> np.ndarray:
+    qmat.check_dim(1 << n)
     return np.eye(1 << n, dtype=complex) / (1 << n)
 
 
@@ -296,9 +296,10 @@ def multicopy_distance(n: int, copies: int, *, reuse: str = "fresh_s",
     fresh_s: every copy has its own s, so rho_b = c_b (x) tau^(x)copies for
     the averaged ciphertext c_b and public key tau. As ||X (x) tau||_1 =
     ||X||_1 for a density operator tau, the distance is D(c_0, c_1): the
-    shared_s route at no copies. Under uniform_k, c_0 = c_1 and it is 0.
-    sampled_anf replaces the uniform (k, p) by `samples` draws of explicit
-    keys from rng; seed is recorded in the report.
+    shared_s route at no copies. Under uniform_k, c_0 = c_1 = I/2^n and it
+    is 0. sampled_anf replaces the uniform (k, p) by F1(s), F2(s) of
+    `samples` scheme-b keys drawn by schemes.keygen from rng, each at its
+    own uniform s; seed is recorded in the report.
     """
     if reuse not in ("fresh_s", "shared_s"):
         raise ValueError(f"unknown reuse mode {reuse!r}")
@@ -314,18 +315,19 @@ def multicopy_distance(n: int, copies: int, *, reuse: str = "fresh_s",
         if rng is None or samples < 1:
             raise ValueError("sampled_anf needs an rng and a positive sample count")
         pairs = []
-        m = 2 * n
         w = 1.0 / samples
         for _ in range(samples):
-            f1 = generate_random(m, n, rng)
-            f2 = generate_balanced_f2(m, rng)
-            s = bits.rand_bits(rng, m)
-            pairs.append(((f1.evaluate(s), f2.evaluate(s)), w))
+            sk, _ = schemes.keygen(SchemeId.B, n, rng, count=0)
+            s = bits.rand_bits(rng, sk.m)
+            pairs.append(((schemes._basis_key(sk, s), schemes._offset(sk, s)), w))
+        rho0, rho1 = (_joint_state(n, joint, b, pairs) for b in (0, 1))
+    elif joint == 0:
+        # With no copy to share k, the average over k factors qubit by qubit.
+        rho0, rho1 = (cipher_mixture(SchemeId.B, n, b) for b in (0, 1))
     else:
         w = 1.0 / (1 << (n + 1))
         pairs = [((k, p), w) for k in range(1 << n) for p in (0, 1)]
-
-    rho0, rho1 = (_joint_state(n, joint, b, pairs) for b in (0, 1))
+        rho0, rho1 = (_joint_state(n, joint, b, pairs) for b in (0, 1))
 
     d = qmat.trace_distance(rho0, rho1)
     bound = 0.0 if reuse == "fresh_s" and key_model == "uniform_k" else None

@@ -27,7 +27,7 @@ __all__ = [
     "RandomOracle",
 ]
 
-DEFAULT_BALANCE_ATTEMPTS = 10_000
+BALANCE_ATTEMPTS = 10_000
 BALANCED_MAX_M = 20  # the balance check enumerates all 2^m inputs
 _WORD = (1 << 64) - 1  # evaluation splits masks and inputs into uint64 words
 _BLOCK = 4096  # masks converted per bytes block: bounds the transient objects
@@ -101,11 +101,6 @@ class AnfFunction:
         for b in owner[missing == 0].tolist():
             out ^= 1 << (self.n_out - 1 - b)
         return out
-
-    def flip_constant(self, b: int = 0) -> "AnfFunction":
-        """The function with output bit b complemented (f -> f xor 1)."""
-        return AnfFunction(self.m, self.n_out, self.terms,
-                           self.constants ^ (1 << (self.n_out - 1 - b)))
 
     def to_json(self) -> dict:
         return {
@@ -185,10 +180,9 @@ def _anf_weight(coeffs: np.ndarray, m: int) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-def generate_balanced_f2(m: int, rng: np.random.Generator,
-                         max_attempts: int = DEFAULT_BALANCE_ATTEMPTS) -> AnfFunction:
+def generate_balanced_f2(m: int, rng: np.random.Generator) -> AnfFunction:
     """Single-output random ANF, rejection-sampled until balanced, then one
-    extra coin toss XORs in the constant 1. The family is therefore closed
+    extra coin toss as its constant term. The family is therefore closed
     under complement and the two constants are equally likely.
 
     Candidates are uniform over all single-output ANFs: every one of the 2^m
@@ -203,15 +197,12 @@ def generate_balanced_f2(m: int, rng: np.random.Generator,
     if m > BALANCED_MAX_M:
         raise ValueError(f"balance check enumerates 2^m inputs; m must be <= {BALANCED_MAX_M}")
     target = 1 << (m - 1)
-    for _ in range(max_attempts):
+    for _ in range(BALANCE_ATTEMPTS):
         coeffs = rng.integers(0, 2, size=1 << m, dtype=np.uint8)
         if _anf_weight(coeffs, m) == target:
             term_set = frozenset(np.flatnonzero(coeffs).tolist())
-            f = AnfFunction(m, 1, (term_set,))
-            if bits.rand_bits(rng, 1):
-                f = f.flip_constant(0)
-            return f
-    raise GenerationError(f"no balanced function found in {max_attempts} attempts")
+            return AnfFunction(m, 1, (term_set,), bits.rand_bits(rng, 1))
+    raise GenerationError(f"no balanced function found in {BALANCE_ATTEMPTS} attempts")
 
 
 def gf2_insert(pivots: dict[int, int], row: int, n: int) -> None:

@@ -215,6 +215,8 @@ def _emit_reports(reports: list[SecurityReport], args, config: dict) -> int:
 def cmd_analyze(args) -> int:
     defaults = {"t": "1", **ROW_DEFAULTS}
     _reject_unread(args, TARGET_OPTIONS.get(args.target, ()), tuple(defaults))
+    if args.samples is not None and args.key_model != "sampled_anf":
+        raise ValueError("--samples is read only with --key-model sampled_anf")
     for name, value in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
@@ -321,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pub", required=True)
     p.add_argument("--message", required=True, help="bitstring, e.g. 1 or 01101")
     p.add_argument("--allow-reuse", action="store_true")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a ciphertext file")

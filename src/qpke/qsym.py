@@ -130,11 +130,6 @@ class ProductState:
         """Concatenated basis codes, phases ignored (e.g. 'Z0X+')."""
         return "".join(q.basis for q in self.qubits)
 
-    def apply_gate(self, gate: str, index: int) -> "ProductState":
-        if not 0 <= index < self.n:
-            raise IndexError(f"qubit index {index} out of range for n={self.n}")
-        return self.apply_mask(gate, 1 << (self.n - 1 - index))
-
     def apply_mask(self, gate: str, mask: int) -> "ProductState":
         """Apply one gate at every position where the n-bit mask has a 1, in
         one pass over the qubits."""
@@ -169,9 +164,6 @@ class ProductState:
                 raise ValueError("measurement outcome is random: a qubit is in the X basis")
             out = (out << 1) | (q.basis == Z1)
         return out
-
-    def tensor(self, other: "ProductState") -> "ProductState":
-        return ProductState(self.qubits + other.qubits, self.global_phase + other.global_phase)
 
     def to_json(self) -> dict:
         return {

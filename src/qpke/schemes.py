@@ -231,13 +231,12 @@ def copy_public_key(pk: PublicKey) -> PublicKey:
 
 
 def encrypt(pk: PublicKey, message: int, rng: np.random.Generator | None = None,
-            *, allow_reuse: bool = False, j: int | None = None) -> Ciphertext:
+            *, allow_reuse: bool = False) -> Ciphertext:
     """Encrypt a message under a public key, consuming it.
 
     Public keys are single use; pass allow_reuse=True only when studying
-    reuse deliberately. For one-bit schemes the mask j is normally drawn
-    uniformly from the matching parity class; a fixed j may be forced for
-    reproducibility as long as its parity agrees with the message.
+    reuse deliberately. One-bit schemes draw the mask j from rng, uniformly
+    over the strings whose parity is the message.
     """
     if pk.consumed and not allow_reuse:
         raise PublicKeyConsumedError("public key already consumed; keys are single use")
@@ -247,23 +246,13 @@ def encrypt(pk: PublicKey, message: int, rng: np.random.Generator | None = None,
         raise ValueError(f"message {message} out of range for width {width}")
 
     if pk.scheme == SchemeId.PAN10:
-        if j is not None:
-            raise ValueError("pan10 encryption takes no mask argument")
         quantum = pk.quantum.apply_zall() if message else pk.quantum
     elif SCHEMES[pk.scheme].wide:
-        if j is not None and j != message:
-            raise ValueError("for n-bit schemes the message itself is the mask")
         quantum = pk.quantum.apply_yj(message)
     else:
-        if j is None:
-            if rng is None:
-                raise ValueError("need an rng to draw the mask j")
-            j = bits.rand_parity_bits(rng, n, message)
-        elif not 0 <= j < (1 << n):
-            raise ValueError(f"j: forced mask {j} does not fit in n={n} bits")
-        elif bits.parity(j) != message:
-            raise ValueError("forced j has the wrong parity for this message")
-        quantum = pk.quantum.apply_yj(j)
+        if rng is None:
+            raise ValueError("need an rng to draw the mask j")
+        quantum = pk.quantum.apply_yj(bits.rand_parity_bits(rng, n, message))
     pk.consumed = True
     return Ciphertext(pk.scheme, n, pk.m, pk.label, quantum)
 

@@ -87,8 +87,9 @@ def test_sector_mixture_matches_qsym_densities():
     lambda: analysis._b_pubkey_state(5, 0, None),
     lambda: analysis._b_pubkey_state(5, 0, 0),
     lambda: pubkey_mixture_A(5),
+    lambda: identity_mixture(5),
 ], ids=["sigma_b", "cipher_mixture_A", "cipher_mixture_uniform",
-        "pubkey_mixture_fixed_k", "_b_pubkey_state", "pubkey_mixture_A"])
+        "pubkey_mixture_fixed_k", "_b_pubkey_state", "pubkey_mixture_A", "identity_mixture"])
 def test_dense_builders_honour_dim_cap(monkeypatch, build):
     monkeypatch.setenv("QPKE_DIM_CAP", "16")
     with pytest.raises(qmat.DimensionCapError):
@@ -322,7 +323,7 @@ def test_b_cipher_state_is_the_pubkey_state_at_parity_p_xor_b():
 
 def test_multicopy_fresh_is_zero():
     # exactly 0, also past the shared_s limit n*(t+1) <= 10
-    for n, t in ((2, 1), (2, 2), (3, 1), (4, 2), (3, 5), (5, 40)):
+    for n, t in ((2, 1), (2, 2), (3, 1), (4, 2), (3, 5), (5, 40), (9, 0), (10, 3)):
         r = multicopy_distance(n, t)
         assert r.bound == 0.0
         assert r.computed == 0.0

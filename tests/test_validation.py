@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpke import bits
+from qpke.qsym import ProductState
 from qpke.schemes import (SCHEMES, SchemeId, ciphertext_from_json,
                           ciphertext_to_json, decrypt, encrypt, keygen, message_width,
                           private_key_from_json, private_key_to_json, public_key_from_json,
@@ -38,7 +39,7 @@ def test_ciphertext_with_wrong_qubit_count_is_rejected():
 def test_decrypt_checks_qubit_count_and_m():
     sk, pk, rng = issued(SchemeId.A)
     ct = encrypt(pk, 1, rng)
-    wider = replace(ct, quantum=ct.quantum.tensor(ct.quantum))
+    wider = replace(ct, quantum=ProductState(ct.quantum.qubits * 2))
     with pytest.raises(ValueError, match="^quantum:"):
         decrypt(sk, wider)
     with pytest.raises(ValueError, match="^m:"):
