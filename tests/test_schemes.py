@@ -7,7 +7,7 @@ import pytest
 
 from qpke import bits, schemes
 from qpke.qsym import ProductState, TwoTermState
-from qpke.schemes import (Ciphertext, PublicKeyConsumedError, SchemeId,
+from qpke.schemes import (Ciphertext, PublicKey, PublicKeyConsumedError, SchemeId,
                           ciphertext_from_json, ciphertext_to_json, copy_public_key,
                           decrypt, encrypt,
                           keygen, message_width, private_key_from_json,
@@ -107,6 +107,24 @@ def test_keygen_deterministic_per_seed():
     assert private_key_to_json(sk1) == private_key_to_json(sk2)
     for a, b in zip(pks1, pks2):
         assert public_key_to_json(a) == public_key_to_json(b)
+
+
+def test_forced_mask_ciphertext_example():
+    # i=11, k=01: encrypting 0 draws j from {00, 11}; j=11 lands the
+    # ciphertext on |0>|+> with no phase
+    key = ProductState.from_bits(0b11, 2).apply_hk(0b01)
+    seen = {}
+    for seed in range(64):
+        j = bits.rand_parity_bits(np.random.default_rng(seed), 2, 0)
+        pk = PublicKey(SchemeId.A, 2, 4, label=0, quantum=key)
+        ct = encrypt(pk, 0, np.random.default_rng(seed))
+        assert ct.quantum == key.apply_yj(j)
+        seen[j] = ct.quantum
+        if len(seen) == 2:
+            break
+    assert set(seen) == {0b00, 0b11}
+    assert seen[0b11].basis_string() == "Z0X+"
+    assert seen[0b11].total_phase == 0
 
 
 def test_public_keys_are_single_use():
