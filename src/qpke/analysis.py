@@ -1,13 +1,17 @@
 """Exact density-operator analysis of the encryption schemes.
 
-Everything here is computed by explicit enumeration: ciphertext and
-public-key ensembles are averaged over all key draws (the random-oracle
-model replaces F(s) by a uniform k), so the resulting operators are exact
-up to floating point. Trace-distance bounds are then checked against the
-closed forms (sqrt(2)/2)^n, sqrt(1/2^(n-t+1)) and sqrt(1/2^(n-t-1)).
-The superposition-key (pan10) distances are the exception: they are counted
-exactly, with no dense operator; the tests keep a dense build as their
-cross-check.
+Ciphertext and public-key ensembles are averaged over all key draws (the
+random-oracle model replaces F(s) by a uniform k), in closed form rather
+than state by state, so the resulting operators are exact up to floating
+point. Trace-distance bounds are then checked against the closed forms
+(sqrt(2)/2)^n, sqrt(1/2^(n-t+1)) and sqrt(1/2^(n-t-1)). Two families build
+no joint operator, and the tests keep a dense build of each as its
+cross-check. The superposition-key (pan10) distances are counted exactly.
+The uniform-k shared-label multicopy rows split the 2^(n(t+1))-dimensional
+difference, qubit column by column, into X_0 blocks of dimension 2^(n*t),
+one per number w of columns in the X_0 = -1 sector, weighted C(n, w);
+every block has the same trace norm, so one real block gives the distance
+(`_shared_s_distance`).
 
 Every mixture is a uniform average, over the strings v of one parity p or
 over all strings, of products of 2x2 operators A_a(v_a) built from the
@@ -282,6 +286,38 @@ def _joint_state(n: int, t: int, b: int, pairs_and_weights) -> np.ndarray:
                for (k, p), w in pairs_and_weights)
 
 
+def _shared_s_distance(n: int, t: int) -> float:
+    """D(rho_0, rho_1) for a scheme-b ciphertext and t >= 1 public keys with
+    its label s, averaged over a uniform (k, p), from one real block.
+
+    Column c holds qubit c of every slot, slot 0 the ciphertext. Averaged
+    over (k, p), rho_0 - rho_1 = 2^(1-n(t+1)) sum_S C_S^(x)n over the
+    even-size S that hold slot 0, with C_S = (Z^S + X^S)/2 on one column.
+    Conjugating each column by the CNOT fan from slot 0 maps C_S,
+    S = {0} u T with |T| odd, to (Z^T + X_0 X^([t]-T))/2, so X_0 commutes
+    with every term and the operator splits by the X_0 sign lam_c of each
+    column. Permuting the columns maps blocks with the same number w of
+    lam_c = -1 onto each other, so D = 2^(-n(t+1)) sum_w C(n, w) ||B_w||_1
+    for the real symmetric B_w = sum_T (x)_c (Z^T + lam_c X^([t]-T))/2 on
+    slots 1..t. X (t odd) or Z (t even) on every slot of one column flips
+    its lam_c and at most the sign of the block, so every B_w has the norm
+    of B_0 and D = 2^(-nt) ||B_0||_1. Expanding each column's sum, with A
+    the columns that take X, and regrouping the qubits by slot turns the
+    sum over odd T into a parity sector of n-qubit slot operators:
+    2^(n+1) B_0 = sum_A [(X^A + Z^(not A))^(x)t - (X^A - Z^(not A))^(x)t].
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    qmat.check_dim(1 << (n * t))
+    z, x, i = (_gate(g).real for g in ("Z", "X", "I"))
+    block = 0.0
+    for a in range(1 << n):
+        za = reduce(np.kron, [i if a >> c & 1 else z for c in range(n)])
+        xa = reduce(np.kron, [x if a >> c & 1 else i for c in range(n)])
+        block = block + reduce(np.kron, [xa + za] * t) - reduce(np.kron, [xa - za] * t)
+    return qmat.trace_norm(block) / (1 << (n * (t + 1) + 1))
+
+
 def multicopy_distance(n: int, copies: int, *, reuse: str = "fresh_s",
                        key_model: str = "uniform_k", samples: int = 0,
                        rng: np.random.Generator | None = None,
@@ -292,14 +328,20 @@ def multicopy_distance(n: int, copies: int, *, reuse: str = "fresh_s",
     shared_s: every copy is a public key with the ciphertext's label s, so
     the slots share one (k, p) pair and each draws its own i (they are not
     copies of one key, which would share i too). The joint states stay
-    correlated; the row is informational, with no closed-form target.
+    correlated; the row is informational, with no closed-form target. Under
+    uniform_k the average over (k, p) is a sum of tensor powers over the
+    n qubit columns, and `_shared_s_distance` takes it apart into n + 1
+    X_0 blocks of dimension 2^(n*copies), weighted C(n, w), that share one
+    trace norm; the tests keep the dense sum over all 2^(n+1) pairs as the
+    cross-check.
     fresh_s: every copy has its own s, so rho_b = c_b (x) tau^(x)copies for
     the averaged ciphertext c_b and public key tau. As ||X (x) tau||_1 =
     ||X||_1 for a density operator tau, the distance is D(c_0, c_1): the
     shared_s route at no copies. Under uniform_k, c_0 = c_1 = I/2^n and it
     is 0. sampled_anf replaces the uniform (k, p) by F1(s), F2(s) of
     `samples` scheme-b keys drawn by schemes.keygen from rng, each at its
-    own uniform s; seed is recorded in the report.
+    own uniform s, and sums the dense joint states; seed is recorded in the
+    report.
     """
     if reuse not in ("fresh_s", "shared_s"):
         raise ValueError(f"unknown reuse mode {reuse!r}")
@@ -320,16 +362,13 @@ def multicopy_distance(n: int, copies: int, *, reuse: str = "fresh_s",
             sk, _ = schemes.keygen(SchemeId.B, n, rng, count=0)
             s = bits.rand_bits(rng, sk.m)
             pairs.append(((schemes._basis_key(sk, s), schemes._offset(sk, s)), w))
-        rho0, rho1 = (_joint_state(n, joint, b, pairs) for b in (0, 1))
+        d = qmat.trace_distance(*(_joint_state(n, joint, b, pairs) for b in (0, 1)))
     elif joint == 0:
         # With no copy to share k, the average over k factors qubit by qubit.
-        rho0, rho1 = (cipher_mixture(SchemeId.B, n, b) for b in (0, 1))
+        d = qmat.trace_distance(*(cipher_mixture(SchemeId.B, n, b) for b in (0, 1)))
     else:
-        w = 1.0 / (1 << (n + 1))
-        pairs = [((k, p), w) for k in range(1 << n) for p in (0, 1)]
-        rho0, rho1 = (_joint_state(n, joint, b, pairs) for b in (0, 1))
+        d = _shared_s_distance(n, joint)
 
-    d = qmat.trace_distance(rho0, rho1)
     bound = 0.0 if reuse == "fresh_s" and key_model == "uniform_k" else None
     return SecurityReport("multicopy_distance", "b", n, copies, key_model,
                           reuse, d, bound, seed=seed, tol=1e-10)

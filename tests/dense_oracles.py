@@ -4,12 +4,13 @@ The package computes the distinguishing game in closed form, never checks
 density operators at run time, and draws the collision baseline's trials in
 bulk; these direct routes are the tests' independent cross-checks: a full
 eigendecomposition for the optimal two-hypothesis (Helstrom) measurement,
-a spectrum check for density operators, and the collision baseline's loop
-that draws one value at a time.
+a spectrum check for density operators, the collision baseline's loop that
+draws one value at a time, and the shared-label multicopy distance summed
+over every key draw.
 """
 import numpy as np
 
-from qpke import bits, qmat
+from qpke import analysis, bits, qmat
 from qpke.boolfn import RandomOracle
 
 PSD_TOL = 1e-9
@@ -92,3 +93,15 @@ def owt_inversion_baseline(n: int, trials: int, rng: np.random.Generator) -> flo
         raise AssertionError(
             f"collision rate {rate} deviates from {p} by more than 3 sigma")
     return rate
+
+
+def shared_s_multicopy_distance(n: int, t: int) -> float:
+    """multicopy_distance(n, t, reuse="shared_s") under uniform_k, summed
+    densely: the joint states of dimension 2^(n(t+1)) over all 2^(n+1)
+    equally weighted (k, p) pairs, then half the trace norm of their
+    difference, which is real."""
+    w = 1.0 / (1 << (n + 1))
+    pairs = [((k, p), w) for k in range(1 << n) for p in (0, 1)]
+    delta = analysis._joint_state(n, t, 0, pairs) - analysis._joint_state(n, t, 1, pairs)
+    assert not np.any(delta.imag)
+    return 0.5 * qmat.trace_norm(delta.real)

@@ -4,6 +4,7 @@ Frozen constants in this file were computed from the exact enumerations
 before being pinned; anything labeled "frozen" is a regression anchor, not
 an independently meaningful tolerance.
 """
+import math
 from collections import Counter
 from functools import reduce
 
@@ -22,7 +23,8 @@ from qpke.boolfn import generate_balanced_f2, generate_random
 from qpke.qsym import ProductState, TwoTermState
 from qpke.schemes import SCHEMES, SchemeId, message_width
 
-from dense_oracles import assert_density_operator, helstrom_advantage, helstrom_projector
+from dense_oracles import (assert_density_operator, helstrom_advantage, helstrom_projector,
+                           shared_s_multicopy_distance)
 
 SQ = np.sqrt(2) / 2
 
@@ -369,6 +371,66 @@ def test_multicopy_shared_frozen_values():
         assert r.bound is None
         assert abs(r.computed - want) < 1e-9, (n, t, r.computed)
         assert 0.0 < r.computed < 1.0
+
+
+SHARED_POINTS = [(n, t) for n in range(1, 6) for t in range(1, 10 // n) if n * (t + 1) <= 10]
+
+
+@pytest.mark.parametrize("n, t", SHARED_POINTS)
+def test_multicopy_shared_matches_dense(n, t):
+    got = multicopy_distance(n, t, reuse="shared_s").computed
+    assert abs(got - shared_s_multicopy_distance(n, t)) < 1e-12
+
+
+def test_multicopy_shared_builds_no_joint_state(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("uniform_k shared_s rows must not build the joint state")
+
+    monkeypatch.setattr(analysis, "_joint_state", refuse)
+    for n in range(1, 11):
+        for t in range(10 // n):
+            r = multicopy_distance(n, t, reuse="shared_s")
+            assert 0.0 <= r.computed < 1.0, (n, t)
+
+
+def _x0_block(n, t, w):
+    """B_w = sum over odd T of (x)_c (Z^T + lam_c X^([t]-T))/2 on slots 1..t
+    of each column, lam_c = -1 on the last w columns."""
+    z, x, i = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    block = 0.0
+    for odd in filter(bits.parity, range(1 << t)):
+        zt = reduce(np.kron, [z if odd >> j & 1 else i for j in range(t)])
+        xt = reduce(np.kron, [i if odd >> j & 1 else x for j in range(t)])
+        block = block + reduce(np.kron, [(zt + xt) / 2] * (n - w) + [(zt - xt) / 2] * w)
+    return block
+
+
+@pytest.mark.parametrize("n, t", [(n, t) for n, t in SHARED_POINTS if n * t <= 8])
+def test_x0_blocks_share_one_norm(n, t):
+    # D = 2^(-n(t+1)) sum_w C(n, w) ||B_w||_1, and every B_w has the norm of B_0
+    norms = [qmat.trace_norm(_x0_block(n, t, w)) for w in range(n + 1)]
+    assert max(norms) - min(norms) < 1e-12 * max(norms)
+    total = sum(math.comb(n, w) * v for w, v in enumerate(norms)) / (1 << (n * (t + 1)))
+    assert abs(total - analysis._shared_s_distance(n, t)) < 1e-12
+
+
+def test_multicopy_shared_one_copy_closed_form():
+    # t = 1: every block is (x)_c (Z + lam_c I)/2, of trace norm 1, so D = 2^-n
+    for n in range(1, 6):
+        assert abs(multicopy_distance(n, 1, reuse="shared_s").computed - 2.0 ** -n) < 1e-15
+
+
+def test_multicopy_shared_two_copies_match_the_conjecture():
+    # t = 2: D = 2^(1-2n) (2^n - 2 + sqrt 2), conjectured; past n*(t+1) <= 10 at n = 4
+    for n in range(1, 5):
+        want = 2.0 ** (1 - 2 * n) * (2 ** n - 2 + np.sqrt(2))
+        assert abs(analysis._shared_s_distance(n, 2) - want) < 1e-12
+
+
+def test_multicopy_shared_checks_the_block_dimension(monkeypatch):
+    monkeypatch.setenv("QPKE_DIM_CAP", "32")  # the (3, 2) block has dimension 64
+    with pytest.raises(qmat.DimensionCapError):
+        multicopy_distance(3, 2, reuse="shared_s")
 
 
 def test_multicopy_no_copies_no_information():

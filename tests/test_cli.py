@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qpke import analysis
+from qpke import analysis, qmat
 from qpke.cli import _emit_reports, _parse_range, main
 
 
@@ -243,6 +243,21 @@ def test_dimension_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("QPKE_DIM_CAP", "8")
     assert main(["analyze", "--target", "sigma-bound", "--n", "5"]) == 2
     assert capsys.readouterr().err == "qpke analyze: dimension 32 exceeds cap 8\n"
+
+
+def test_sweep_requests_at_most_dimension_256(monkeypatch, capsys):
+    # the shared_s rows ask for their 2^(n*t) block, not the 2^(n(t+1)) joint state
+    requested = []
+
+    def recording(dim):
+        requested.append(dim)
+        return check_dim(dim)
+
+    check_dim = qmat.check_dim
+    monkeypatch.setattr(qmat, "check_dim", recording)
+    assert main(["sweep", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert max(requested) == 256
 
 
 @pytest.mark.parametrize("argv", [
