@@ -373,7 +373,7 @@ def test_multicopy_shared_frozen_values():
         assert 0.0 < r.computed < 1.0
 
 
-SHARED_POINTS = [(n, t) for n in range(1, 6) for t in range(1, 10 // n) if n * (t + 1) <= 10]
+SHARED_POINTS = [(n, t) for n in range(1, 6) for t in range(1, 10 // n)]  # n*(t+1) <= 10
 
 
 @pytest.mark.parametrize("n, t", SHARED_POINTS)
@@ -428,9 +428,12 @@ def test_multicopy_shared_two_copies_match_the_conjecture():
 
 
 def test_multicopy_shared_checks_the_block_dimension(monkeypatch):
-    monkeypatch.setenv("QPKE_DIM_CAP", "32")  # the (3, 2) block has dimension 64
+    # the (3, 2) row needs its 64-dimensional block, not the 512-dimensional joint state
+    monkeypatch.setenv("QPKE_DIM_CAP", "32")
     with pytest.raises(qmat.DimensionCapError):
         multicopy_distance(3, 2, reuse="shared_s")
+    monkeypatch.setenv("QPKE_DIM_CAP", "64")
+    assert multicopy_distance(3, 2, reuse="shared_s").computed > 0.0
 
 
 def test_multicopy_no_copies_no_information():

@@ -247,13 +247,12 @@ def test_dimension_cap_env(monkeypatch, capsys):
 
 def test_sweep_requests_at_most_dimension_256(monkeypatch, capsys):
     # the shared_s rows ask for their 2^(n*t) block, not the 2^(n(t+1)) joint state
-    requested = []
+    requested, check_dim = [], qmat.check_dim
 
     def recording(dim):
         requested.append(dim)
         return check_dim(dim)
 
-    check_dim = qmat.check_dim
     monkeypatch.setattr(qmat, "check_dim", recording)
     assert main(["sweep", "--seed", "0"]) == 0
     capsys.readouterr()
