@@ -9,7 +9,6 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
 from itertools import chain, islice
 from typing import Iterable
 
@@ -58,23 +57,32 @@ class AnfFunction:
             raise ValueError("need one term set per output bit")
         if not 0 <= self.constants < (1 << self.n_out):
             raise ValueError("constants out of range")
-        # one OR over every mask: negative iff a mask is, and no bit at or
-        # above m iff every mask fits
-        union = reduce(operator.or_, chain.from_iterable(self.terms), 0)
-        if union < 0 or union >> self.m:
-            bad = next(mask for mask in chain.from_iterable(self.terms)
-                       if not 0 <= mask < (1 << self.m))
-            raise ValueError(f"monomial mask {bad} out of range")
+        # the table is the range check: a negative mask, or one past its words,
+        # fails to convert, and one of 2^m or more sets a bit >= m in the top word
+        try:
+            words, owner = self._build_table()
+        except (OverflowError, AttributeError):
+            self._name_bad_mask()
+            raise
+        if words.shape[1] and int(words[-1].max()) >> (self.m - 64 * (len(words) - 1)):
+            self._name_bad_mask()
+        object.__setattr__(self, "_table", (words, owner))
 
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+    def _name_bad_mask(self) -> None:
+        for mask in chain.from_iterable(self.terms):
+            if not 0 <= operator.index(mask) < (1 << self.m):
+                raise ValueError(f"monomial mask {mask} out of range")
+
+    def _build_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Every monomial mask as a column of uint64 words, least significant
         word first, and the output bit that owns each monomial."""
         lens = [len(tset) for tset in self.terms]
         count = sum(lens)
         masks = chain.from_iterable(self.terms)
         if self.m <= 64:  # one word: the masks convert unsplit, about 3x faster
-            words = np.fromiter(masks, dtype=np.uint64, count=count)[np.newaxis]
+            # operator.index refuses a float or a string, which fromiter would cast
+            words = np.fromiter(map(operator.index, masks), dtype=np.uint64,
+                                count=count)[np.newaxis]
         else:  # little-endian bytes split a mask into its words in one call
             nwords = (self.m + 63) // 64
             words = np.empty((nwords, count), dtype=np.uint64)
@@ -158,26 +166,28 @@ def generate_random(m: int, n_out: int, rng: np.random.Generator,
 
 # In-word Moebius passes: bit x of a word takes in bit x - 2^d wherever bit d
 # of x is set, for d = 0..5.
-_IN_WORD = tuple((1 << d, np.uint64(sum(1 << x for x in range(64) if x >> d & 1)))
+_IN_WORD = tuple((np.uint64(1 << d), np.uint64(sum(1 << x for x in range(64) if x >> d & 1)))
                  for d in range(6))
 
 
-def _anf_weight(coeffs: np.ndarray, m: int) -> int:
-    """Hamming weight of the truth table over all 2^m inputs of the ANF with
-    monomial coefficient vector coeffs (coeffs[mask] = 1 iff the monomial
-    with variable set `mask` is present). Subset-XOR (Moebius) transform on
-    the coefficients packed 64 to a uint64 word, zero-padded to one word:
-    the low six index bits are shifted within words, the rest are whole-word
-    XORs."""
-    packed = np.packbits(coeffs, bitorder="little")
-    words = np.zeros(max(len(packed) // 8, 1), dtype="<u8")
-    words.view(np.uint8)[:len(packed)] = packed
+def _anf_weights(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Hamming weights of the truth tables over all 2^m inputs of the ANFs
+    whose monomial coefficient vectors are the rows of coeffs (coeffs[i,
+    mask] = 1 iff row i holds the monomial with variable set `mask`).
+    Subset-XOR (Moebius) transform on each row packed 64 to a uint64 word,
+    zero-padded to one word: the low six index bits are shifted within
+    words, the rest are whole-word XORs."""
+    if m < 6:
+        padded = np.zeros((len(coeffs), 64), dtype=np.uint8)
+        padded[:, :1 << m] = coeffs
+        coeffs = padded
+    words = np.packbits(coeffs, axis=1, bitorder="little").view("<u8")
     for shift, mask in _IN_WORD[:m]:
-        words ^= (words << np.uint64(shift)) & mask
+        words ^= (words << shift) & mask
     for d in range(6, m):
-        view = words.reshape(-1, 2, 1 << (d - 6))
-        view[:, 1, :] ^= view[:, 0, :]
-    return int(np.bitwise_count(words).sum())
+        view = words.reshape(len(words), -1, 2, 1 << (d - 6))
+        view[:, :, 1, :] ^= view[:, :, 0, :]
+    return np.bitwise_count(words).sum(axis=1)
 
 
 def generate_balanced_f2(m: int, rng: np.random.Generator) -> AnfFunction:
@@ -191,16 +201,33 @@ def generate_balanced_f2(m: int, rng: np.random.Generator) -> AnfFunction:
     so it is almost never balanced once m grows past ~10; the uniform draw
     keeps the acceptance rate near sqrt(2/(pi*2^m)) at every width.)
 
+    Candidates are drawn and tested in blocks: for m >= 2 a candidate's 2^m
+    coin bytes take exactly 2^(m-2) 32-bit words, so a block of K is the
+    bytes of K single draws. If the first balanced candidate is not the
+    block's last, the generator is restored and redraws up to it, so a seed
+    gives the same function and final state as one candidate at a time.
+
     Balance is verified exhaustively over all 2^m inputs, so m is limited
     to 20 variables.
     """
     if m > BALANCED_MAX_M:
         raise ValueError(f"balance check enumerates 2^m inputs; m must be <= {BALANCED_MAX_M}")
     target = 1 << (m - 1)
-    for _ in range(BALANCE_ATTEMPTS):
-        coeffs = rng.integers(0, 2, size=1 << m, dtype=np.uint8)
-        if _anf_weight(coeffs, m) == target:
-            term_set = frozenset(np.flatnonzero(coeffs).tolist())
+    size = 1 << m
+    # K <= the expected need, ~1.25 * 2^(m/2), and <= 2^15 coefficient bytes;
+    # at m = 1 a candidate is half a 32-bit word, so it is drawn alone
+    block = 1 if m < 2 else min(1 << (m // 2), max(1, (1 << 15) >> m))
+    for start in range(0, BALANCE_ATTEMPTS, block):
+        k = min(block, BALANCE_ATTEMPTS - start)
+        state = rng.bit_generator.state if k > 1 else None
+        coeffs = rng.integers(0, 2, size=k * size, dtype=np.uint8).reshape(k, size)
+        weights = _anf_weights(coeffs, m).tolist()
+        if target in weights:
+            h = weights.index(target)
+            if h < k - 1:
+                rng.bit_generator.state = state
+                rng.integers(0, 2, size=(h + 1) * size, dtype=np.uint8)
+            term_set = frozenset(np.flatnonzero(coeffs[h]).tolist())
             return AnfFunction(m, 1, (term_set,), bits.rand_bits(rng, 1))
     raise GenerationError(f"no balanced function found in {BALANCE_ATTEMPTS} attempts")
 

@@ -1,7 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from qpke import bits
+
+
+def state_of(rng):
+    """The generator's state as text: MT19937 and Philox hold arrays in it."""
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
 
 
 def test_weight_parity_dot():
@@ -77,6 +84,22 @@ def test_rand_bits_many_equals_scalar_draws(width, count):
         values = bits.rand_bits_many(many, width, count)
         assert values == [bits.rand_bits(scalar, width) for _ in range(count)]
         assert many.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64])
+@pytest.mark.parametrize("width", [1, 62, 63, 64, 65, 124, 128, 1000])
+def test_rand_bits_many_equals_scalar_draws_on_every_bit_generator(bit_generator, width):
+    # the words are assembled from the draws, not from a generator's own
+    # word size, so the values hold on every generator numpy ships
+    for prefix in (False, True):
+        many, scalar = (np.random.Generator(bit_generator(width)) for _ in range(2))
+        if prefix:
+            many.integers(0, 3), scalar.integers(0, 3)
+        for count in (1, 300):
+            values = bits.rand_bits_many(many, width, count)
+            assert values == [bits.rand_bits(scalar, width) for _ in range(count)]
+            assert state_of(many) == state_of(scalar)
 
 
 def test_rand_bits_many_makes_no_draw_for_nothing():

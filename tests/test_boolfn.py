@@ -3,15 +3,17 @@
 The evaluation oracle used throughout is a deliberately naive per-variable
 loop, so the vectorized truth tables and the int-mask evaluator are checked
 against an independent route. The byte-butterfly truth table below is the
-oracle for the packed-word balance test of generate_balanced_f2.
+oracle for the packed-word balance test of generate_balanced_f2, and the
+one-candidate-at-a-time loop below is the oracle for its block draws.
 """
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qpke import bits, boolfn
-from qpke.boolfn import (AnfFunction, GenerationError, RandomOracle, _anf_weight,
+from qpke.boolfn import (AnfFunction, GenerationError, RandomOracle, _anf_weights,
                          generate_balanced_f2, generate_random, gf2_insert, gf2_nullspace)
 
 
@@ -220,7 +222,11 @@ def test_packed_balance_weight_matches_byte_butterfly(m):
     cases = [np.zeros(1 << m, np.uint8), np.ones(1 << m, np.uint8)]
     cases += [rng.integers(0, 2, size=1 << m, dtype=np.uint8) for _ in range(20)]
     for coeffs in cases:
-        assert _anf_weight(coeffs, m) == int(np.count_nonzero(anf_truth_table(coeffs, m)))
+        assert _anf_weights(coeffs[np.newaxis], m)[0] == int(np.count_nonzero(
+            anf_truth_table(coeffs, m)))
+    # a block of rows gives every row's weight
+    assert _anf_weights(np.stack(cases), m).tolist() == [
+        int(np.count_nonzero(anf_truth_table(coeffs, m))) for coeffs in cases]
 
 
 def test_balanced_f2_wide_inputs():
@@ -243,6 +249,110 @@ def test_balanced_f2_errors(monkeypatch):
     monkeypatch.setattr(boolfn, "BALANCE_ATTEMPTS", 0)
     with pytest.raises(GenerationError):
         generate_balanced_f2(4, rng)
+
+
+def balanced_f2_one_at_a_time(m, rng):
+    """generate_balanced_f2 drawing and testing one candidate per call, with
+    the byte-butterfly weight; returns the function and the candidates drawn."""
+    for tried in range(1, boolfn.BALANCE_ATTEMPTS + 1):
+        coeffs = rng.integers(0, 2, size=1 << m, dtype=np.uint8)
+        if int(np.count_nonzero(anf_truth_table(coeffs, m))) == 1 << (m - 1):
+            term_set = frozenset(np.flatnonzero(coeffs).tolist())
+            return AnfFunction(m, 1, (term_set,), bits.rand_bits(rng, 1)), tried
+    raise GenerationError(f"no balanced function found in {boolfn.BALANCE_ATTEMPTS} attempts")
+
+
+def state_of(rng):
+    """The generator's state as text: MT19937 and Philox hold arrays in it."""
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
+
+
+class RecordingRng:
+    """A Generator that records the size of each integers call."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bit_generator = rng.bit_generator
+        self.sizes = []
+
+    def integers(self, *args, size=None, **kwargs):
+        self.sizes.append(size)
+        return self._rng.integers(*args, size=size, **kwargs)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("m", [4, 10])
+def test_balanced_f2_blocks_match_one_candidate_at_a_time(bit_generator, m):
+    # a hit inside a block restores the generator and redraws up to the hit,
+    # a hit on the block's last candidate keeps the block's draws; both must
+    # leave the function and the generator as single draws would
+    seen = set()
+    for seed in range(400):
+        single = np.random.Generator(bit_generator(seed))
+        want, tried = balanced_f2_one_at_a_time(m, single)
+        rng = RecordingRng(np.random.Generator(bit_generator(seed)))
+        got = generate_balanced_f2(m, rng)
+        assert (got.terms, got.constants) == (want.terms, want.constants)
+        assert state_of(rng) == state_of(single)
+        draws = rng.sizes[:-1]  # the last call is the constant's coin
+        restored = len(draws) >= 2 and draws[-1] < draws[-2]
+        kept = draws[:-2] + draws[-1:] if restored else draws
+        assert sum(kept) == tried << m
+        seen.add(restored)
+        if seen == {False, True} and seed >= 20:
+            break
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("m, attempts", [(10, 7), (10, 70), (16, 3)])
+def test_balanced_f2_budget_ends_where_single_draws_would(monkeypatch, m, attempts):
+    tested = []
+
+    def off_target(coeffs, m):
+        tested.append(len(coeffs))
+        return np.zeros(len(coeffs), dtype=np.uint64)
+
+    monkeypatch.setattr(boolfn, "BALANCE_ATTEMPTS", attempts)
+    monkeypatch.setattr(boolfn, "_anf_weights", off_target)
+    rng, scalar = np.random.default_rng(m), np.random.default_rng(m)
+    with pytest.raises(GenerationError, match=f"in {attempts} attempts"):
+        generate_balanced_f2(m, rng)
+    assert sum(tested) == attempts
+    for _ in range(attempts):
+        scalar.integers(0, 2, size=1 << m, dtype=np.uint8)
+    assert state_of(rng) == state_of(scalar)
+
+
+# (m, mask, error): error is the exception and message the parent raises, or
+# None where the mask is in range
+RANGE_CASES = [
+    *[(m, mask, (ValueError, f"monomial mask {mask} out of range"))
+      for m in (3, 63, 64) for mask in (-1, 1 << m, 1 << 64)],
+    (65, -1, (ValueError, "monomial mask -1 out of range")),
+    (65, 1 << 65, (ValueError, f"monomial mask {1 << 65} out of range")),
+    (65, 1 << 64, None),
+    (65, 1 << 128, (ValueError, f"monomial mask {1 << 128} out of range")),
+    (128, -1, (ValueError, "monomial mask -1 out of range")),
+    (128, 1 << 128, (ValueError, f"monomial mask {1 << 128} out of range")),
+    (128, 1 << 64, None),
+    *[(m, bad, (TypeError, None)) for m in (3, 64, 65, 128) for bad in (1.5, "3", None)],
+]
+
+
+@pytest.mark.parametrize("m, mask, error", RANGE_CASES)
+def test_anf_range_check(m, mask, error):
+    # the bad mask sits beside valid ones in the second output bit
+    terms = (frozenset({1}), frozenset({0, 3, mask}))
+    if error is None:
+        f = AnfFunction(m, 2, terms)
+        for s in (0, mask, (1 << m) - 1):
+            assert f.evaluate(s) == naive_evaluate(f, s)
+        return
+    kind, message = error
+    with pytest.raises(kind) as caught:
+        AnfFunction(m, 2, terms)
+    if message is not None:
+        assert str(caught.value) == message
 
 
 def test_uniformity_oracle_vs_anf_modes():
