@@ -80,22 +80,20 @@ def rand_bits_many(rng: np.random.Generator, width: int, count: int) -> list[int
         return [0] * count
     chunks = [62] * (width // 62) + ([width % 62] if width % 62 else [])
     highs = np.tile(np.left_shift(1, chunks, dtype=np.int64), count)
-    draws = rng.integers(0, highs).reshape(count, len(chunks)).T.view(np.uint64)
-    if len(chunks) == 1:
-        return draws[0].tolist()
-    # each value as little-endian 64-bit words; a chunk sits above the later
-    # chunks and straddles at most two words
-    words = np.zeros(((width + 63) // 64, count), dtype=np.uint64)
-    offset = width
-    for chunk, column in zip(chunks, draws):
-        offset -= chunk
-        w, shift = divmod(offset, 64)
-        words[w] |= column << np.uint64(shift)
-        if shift + chunk > 64:
-            words[w + 1] |= column >> np.uint64(64 - shift)
-    out = words[-1].tolist()
-    for word in words[-2::-1]:
-        out = [(hi << 64) | lo for hi, lo in zip(out, word.tolist())]
+    draws = rng.integers(0, highs).reshape(count, len(chunks)).T
+    if len(chunks) > 1 and chunks[-1] <= 2 and count >= 32:
+        # a last chunk of one or two bits fits in one uint64 with the chunk
+        # above it: numpy joins them, so a mask of up to 64 bits needs no fold
+        # (below ~32 values the join costs more than the fold it saves)
+        tail = chunks.pop()
+        chunks[-1] += tail
+        high, low = draws[-2:].view(np.uint64)
+        columns = draws[:-2].tolist() + [((high << np.uint64(tail)) | low).tolist()]
+    else:
+        columns = draws.tolist()
+    out = columns[0]
+    for chunk, column in zip(chunks[1:], columns[1:]):
+        out = [(x << chunk) | y for x, y in zip(out, column)]
     return out
 
 

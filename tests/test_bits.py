@@ -88,15 +88,16 @@ def test_rand_bits_many_equals_scalar_draws(width, count):
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
                                            np.random.SFC64])
-@pytest.mark.parametrize("width", [1, 62, 63, 64, 65, 124, 128, 1000])
+@pytest.mark.parametrize("width", [1, 62, 63, 64, 65, 124, 126, 128, 1000])
 def test_rand_bits_many_equals_scalar_draws_on_every_bit_generator(bit_generator, width):
-    # the words are assembled from the draws, not from a generator's own
-    # word size, so the values hold on every generator numpy ships
+    # the values are joined from the draws, not from a generator's own word
+    # size, so they hold on every generator numpy ships; 31 values are joined
+    # by the fold alone, 32 and more also by numpy at 63, 64 and 126 bits
     for prefix in (False, True):
         many, scalar = (np.random.Generator(bit_generator(width)) for _ in range(2))
         if prefix:
             many.integers(0, 3), scalar.integers(0, 3)
-        for count in (1, 300):
+        for count in (1, 31, 32, 300):
             values = bits.rand_bits_many(many, width, count)
             assert values == [bits.rand_bits(scalar, width) for _ in range(count)]
             assert state_of(many) == state_of(scalar)
