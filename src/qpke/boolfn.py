@@ -66,7 +66,18 @@ class AnfFunction:
             raise
         if words.shape[1] and int(words[-1].max()) >> (self.m - 64 * (len(words) - 1)):
             self._name_bad_mask()
-        object.__setattr__(self, "_table", (words, owner))
+        # The truth table, padded to a word per output bit, replaces the masks
+        # wherever it is no larger; then m <= 64, since 2^m <= 64 * words.size.
+        truth = None
+        if self.n_out << max(self.m, 6) <= 64 * words.size:
+            coeffs = np.zeros((self.n_out, 1 << self.m), dtype=np.uint8)
+            coeffs[owner, words[0]] = 1
+            # the constant term is the coefficient of the empty monomial
+            coeffs[:, 0] ^= np.array([self.constants >> (self.n_out - 1 - b) & 1
+                                      for b in range(self.n_out)], dtype=np.uint8)
+            truth = np.ascontiguousarray(_truth_tables(coeffs, self.m).T)
+        object.__setattr__(self, "_truth", truth)
+        object.__setattr__(self, "_table", None if truth is not None else (words, owner))
 
     def _name_bad_mask(self) -> None:
         for mask in chain.from_iterable(self.terms):
@@ -94,12 +105,18 @@ class AnfFunction:
         return words, owner
 
     def evaluate(self, s: int) -> int:
-        """Value at input s, as an n_out-bit integer. A monomial fires at s
-        exactly when mask & ~s == 0; all monomials are tested at once, a
-        64-bit word at a time."""
+        """Value at input s, as an n_out-bit integer. With a truth table, row
+        s // 64 holds bit s % 64 of every output bit. Otherwise a monomial
+        fires at s exactly when mask & ~s == 0; all monomials are tested at
+        once, a 64-bit word at a time."""
         s = int(s)
         if not 0 <= s < (1 << self.m):
             raise ValueError(f"input {s} out of range for m={self.m}")
+        if self._truth is not None:
+            out, shift = 0, s & 63
+            for word in self._truth[s >> 6].tolist():
+                out = out << 1 | word >> shift & 1
+            return out
         words, owner = self._table
         missing = words[0] & np.uint64(~s & _WORD)
         for w in range(1, len(words)):
@@ -170,13 +187,13 @@ _IN_WORD = tuple((np.uint64(1 << d), np.uint64(sum(1 << x for x in range(64) if 
                  for d in range(6))
 
 
-def _anf_weights(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Hamming weights of the truth tables over all 2^m inputs of the ANFs
-    whose monomial coefficient vectors are the rows of coeffs (coeffs[i,
-    mask] = 1 iff row i holds the monomial with variable set `mask`).
-    Subset-XOR (Moebius) transform on each row packed 64 to a uint64 word,
-    zero-padded to one word: the low six index bits are shifted within
-    words, the rest are whole-word XORs."""
+def _truth_tables(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Truth tables over all 2^m inputs of the ANFs whose monomial
+    coefficient vectors are the rows of coeffs (coeffs[i, mask] = 1 iff row
+    i holds the monomial with variable set `mask`), one row each: input x is
+    bit x % 64 of uint64 word x // 64, zero-padded to one word. Subset-XOR
+    (Moebius) transform on the packed rows: the low six index bits are
+    shifted within words, the rest are whole-word XORs."""
     if m < 6:
         padded = np.zeros((len(coeffs), 64), dtype=np.uint8)
         padded[:, :1 << m] = coeffs
@@ -187,7 +204,12 @@ def _anf_weights(coeffs: np.ndarray, m: int) -> np.ndarray:
     for d in range(6, m):
         view = words.reshape(len(words), -1, 2, 1 << (d - 6))
         view[:, :, 1, :] ^= view[:, :, 0, :]
-    return np.bitwise_count(words).sum(axis=1)
+    return words
+
+
+def _anf_weights(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Hamming weights of the truth tables of the rows of coeffs."""
+    return np.bitwise_count(_truth_tables(coeffs, m)).sum(axis=1)
 
 
 def generate_balanced_f2(m: int, rng: np.random.Generator) -> AnfFunction:

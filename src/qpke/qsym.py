@@ -81,18 +81,30 @@ class QubitSymbol:
         object.__setattr__(self, "phase", self.phase % 4)
 
     def apply(self, gate: str) -> "QubitSymbol":
-        """Image under one gate of {I, X, Y, Z, H}."""
-        if gate not in GATE_ACTIONS:
-            raise ValueError(f"unknown gate {gate!r}")
-        new_basis, kick = GATE_ACTIONS[gate][self.basis]
-        return QubitSymbol(new_basis, self.phase + kick)
+        """Image under one gate of {I, X, Y, Z, H}, from the symbol table."""
+        return _images(gate)[self.basis][self.phase]
 
     def to_vector(self) -> np.ndarray:
         return _I_POW[self.phase] * _BASIS_VECTORS[self.basis]
 
 
-# |0> and |1> by bit character; symbols are immutable, so states share them.
-_COMPUTATIONAL = {"0": QubitSymbol(Z0), "1": QubitSymbol(Z1)}
+# The 16 symbols, basis -> phase -> symbol. Symbols are immutable, so every
+# state shares these; gates map them onto each other without constructing any.
+_SYMBOLS = {basis: tuple(QubitSymbol(basis, phase) for phase in range(4))
+            for basis in BASIS_CODES}
+# gate -> basis -> phase -> image symbol: GATE_ACTIONS on all 16 symbols.
+_IMAGES = {gate: {basis: tuple(_SYMBOLS[new_basis][(phase + kick) % 4] for phase in range(4))
+                  for basis, (new_basis, kick) in action.items()}
+           for gate, action in GATE_ACTIONS.items()}
+# |0> and |1> by bit character, and the bit character of each computational basis.
+_COMPUTATIONAL = {"0": _SYMBOLS[Z0][0], "1": _SYMBOLS[Z1][0]}
+_READOUT = {Z0: "0", Z1: "1"}
+
+
+def _images(gate: str) -> dict[str, tuple[QubitSymbol, ...]]:
+    if gate not in _IMAGES:
+        raise ValueError(f"unknown gate {gate!r}")
+    return _IMAGES[gate]
 
 
 @dataclass(frozen=True)
@@ -133,8 +145,9 @@ class ProductState:
     def apply_mask(self, gate: str, mask: int) -> "ProductState":
         """Apply one gate at every position where the n-bit mask has a 1, in
         one pass over the qubits."""
+        images = _images(gate)
         flags = bits.to_str(mask, self.n)
-        return ProductState(tuple(q.apply(gate) if f == "1" else q
+        return ProductState(tuple(images[q.basis][q.phase] if f == "1" else q
                                   for q, f in zip(self.qubits, flags)), self.global_phase)
 
     def apply_hk(self, k: int) -> "ProductState":
@@ -158,12 +171,10 @@ class ProductState:
         """Measure every qubit in the computational basis; returns the n-bit
         outcome. The state must be a pure computational state (this is how
         honest decryption reads out): an X symbol would read out at random."""
-        out = 0
-        for q in self.qubits:
-            if q.basis not in (Z0, Z1):
-                raise ValueError("measurement outcome is random: a qubit is in the X basis")
-            out = (out << 1) | (q.basis == Z1)
-        return out
+        try:
+            return int("".join([_READOUT[q.basis] for q in self.qubits]), 2)
+        except KeyError:
+            raise ValueError("measurement outcome is random: a qubit is in the X basis") from None
 
     def to_json(self) -> dict:
         return {

@@ -260,9 +260,10 @@ def encrypt(pk: PublicKey, message: int, rng: np.random.Generator | None = None,
 def _read_out(state: ProductState, name: str) -> int:
     """Readout of a state the key has turned back into |0>s and |1>s; an X
     symbol left over would read out at random, so the state is not for this key."""
-    if "X" in state.basis_string():
-        raise ValueError(f"{name}: state does not match this private key")
-    return state.measure_computational()
+    try:
+        return state.measure_computational()
+    except ValueError:
+        raise ValueError(f"{name}: state does not match this private key") from None
 
 
 def decrypt(sk: PrivateKey, ct: Ciphertext) -> int:
