@@ -6,13 +6,14 @@ against an independent route. The byte-butterfly truth table below is the
 oracle for the packed-word balance test of generate_balanced_f2, and the
 one-candidate-at-a-time loop below is the oracle for its block draws.
 """
+import copy
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qpke import bits, boolfn
+from qpke import bits, boolfn, schemes
 from qpke.boolfn import (AnfFunction, GenerationError, RandomOracle, _anf_weights,
                          generate_balanced_f2, generate_random, gf2_insert, gf2_nullspace)
 
@@ -140,6 +141,67 @@ def test_evaluate_balanced_f2_exhaustively():
     assert sum(values) == 1 << 11
     for s in rng.integers(0, 1 << 12, size=40):
         assert values[s] == naive_evaluate(f, int(s))
+
+
+def on_mask_route(f):
+    """A copy of f that evaluates by the mask pass, whatever its size."""
+    g = copy.copy(f)
+    object.__setattr__(g, "_truth", None)
+    object.__setattr__(g, "_table", g._build_table())
+    return g
+
+
+def takes_truth_route(f):
+    """The size rule: a truth table padded to a word per output bit, no
+    larger than the table of masks (one word a mask at m <= 64)."""
+    return f.n_out << max(f.m, 6) <= 64 * sum(map(len, f.terms))
+
+
+def test_truth_table_and_mask_routes_agree():
+    rng = np.random.default_rng(33)
+    routes = {(n_out, truth): 0 for n_out in (1, 3) for truth in (False, True)}
+    for m in range(1, 11):
+        for n_out in (1, 3):
+            for t in sorted({0, 1, 2, m, 4 * m, (1 << m) // 8}):
+                f = generate_random(m, n_out, rng, terms_per_output=t, random_constants=True)
+                masks = on_mask_route(f)
+                truth = f._truth is not None
+                assert truth == takes_truth_route(f)
+                assert (f._table is None) == truth
+                routes[n_out, truth] += 1
+                if truth:
+                    assert f._truth.nbytes <= masks._table[0].nbytes
+                values = [f.evaluate(s) for s in range(1 << m)]
+                assert values == [masks.evaluate(s) for s in range(1 << m)]
+                for b in range(n_out):
+                    assert [bits.bit_at(v, b, n_out) for v in values] == \
+                        output_bit_table(f, b).astype(int).tolist()
+    assert min(routes.values()) >= 5, routes
+
+
+def test_balanced_f2_from_json_keeps_its_truth_table():
+    rng = np.random.default_rng(34)
+    for m in (1, 4, 6, 7, 10):
+        f = generate_balanced_f2(m, rng)
+        g = AnfFunction.from_json(json.loads(json.dumps(f.to_json())))
+        assert g == f and f._truth is not None and g._truth is not None
+        values = [g.evaluate(s) for s in range(1 << m)]
+        assert values == [f.evaluate(s) for s in range(1 << m)]
+        assert values == [on_mask_route(g).evaluate(s) for s in range(1 << m)]
+        assert sum(values) == 1 << (m - 1)
+
+
+def test_keyserver_keys_take_both_routes():
+    # the served b key at n = 8 reads F2 (m = 16, ~2^15 monomials) from its
+    # truth table, and F1 and the n = 64 F (m = 128) from their masks
+    rng = np.random.default_rng(35)
+    sk, _ = schemes.keygen(schemes.SchemeId.B, 8, rng, m=16, count=0)
+    assert sk.f2._truth is not None and sk.f1._truth is None
+    sk_a, _ = schemes.keygen(schemes.SchemeId.A, 64, rng, count=0)
+    assert sk_a.f._truth is None
+    masks = on_mask_route(sk.f2)
+    for s in rng.integers(0, 1 << 16, size=10_000).tolist():
+        assert sk.f2.evaluate(s) == masks.evaluate(s)
 
 
 def test_anf_validation_names_the_mask():

@@ -4,6 +4,8 @@ The dense 2x2 gate matrices act as the oracle: every table entry and every
 symbolic evolution must match matrix arithmetic exactly (the symbols track
 phases as integer exponents of i, so there is no tolerance to hide behind).
 """
+import json
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,39 @@ def test_qubit_symbol_validation():
     assert QubitSymbol(Z0, 7).phase == 3  # reduced mod 4
 
 
+def test_gate_images_match_gate_actions():
+    # all 80 (gate, basis, phase) images against a symbol built afresh from
+    # GATE_ACTIONS; the images are shared symbols, so repeats are the same object
+    seen = 0
+    for gate, action in GATE_ACTIONS.items():
+        for basis in BASIS_CODES:
+            new_basis, kick = action[basis]
+            for phase in range(4):
+                want = QubitSymbol(new_basis, phase + kick)
+                image = QubitSymbol(basis, phase).apply(gate)
+                assert image == want, (gate, basis, phase)
+                assert QubitSymbol(basis, phase + 4).apply(gate) is image
+                state = ProductState((QubitSymbol(basis, phase),))
+                assert state.apply_mask(gate, 1).qubits == (want,)
+                assert state.apply_mask(gate, 0) == state
+                seen += 1
+    assert seen == 80
+
+
+def test_symbols_loaded_from_json_map_to_equal_images():
+    # the identity gate's images are the 16 shared symbols
+    rng = np.random.default_rng(15)
+    shared = tuple(QubitSymbol(basis, phase).apply("I")
+                   for basis in BASIS_CODES for phase in range(4))
+    state = ProductState(shared, 1)
+    loaded = ProductState.from_json(json.loads(json.dumps(state.to_json())))
+    assert loaded == state
+    assert all(a is not b for a, b in zip(loaded.qubits, shared))
+    for gate in GATE_ACTIONS:
+        for mask in (0, (1 << 16) - 1, *(bits.rand_bits(rng, 16) for _ in range(10))):
+            assert loaded.apply_mask(gate, mask) == state.apply_mask(gate, mask)
+
+
 def test_from_bits_msb_first():
     state = ProductState.from_bits(0b10, 2)
     assert state.qubits[0].basis == Z1
@@ -67,6 +102,13 @@ def test_from_bits_and_apply_mask_reject_values_outside_n_bits():
             state.apply_mask("X", bad)
     with pytest.raises(ValueError, match="at least one qubit"):
         ProductState.from_bits(0, 0)
+
+
+def test_apply_mask_rejects_an_unknown_gate_whatever_the_mask():
+    state = ProductState.from_bits(0b01, 2)
+    for mask in (0, 0b01, 0b11):
+        with pytest.raises(ValueError, match="unknown gate 'Q'"):
+            state.apply_mask("Q", mask)
 
 
 def test_apply_yj_example():
@@ -149,9 +191,12 @@ def test_decryption_identity_worked_example():
 def test_measure_computational():
     state = ProductState.from_bits(0b101, 3)
     assert state.measure_computational() == 0b101
-    plus = ProductState((QubitSymbol(Z1), QubitSymbol(XP)))
-    with pytest.raises(ValueError):
-        plus.measure_computational()
+    assert ProductState((QubitSymbol(Z1, 3), QubitSymbol(Z0, 2))).measure_computational() == 0b10
+    for x in (XP, XM):
+        plus = ProductState((QubitSymbol(Z1), QubitSymbol(x, 1)))
+        with pytest.raises(ValueError,
+                           match="^measurement outcome is random: a qubit is in the X basis$"):
+            plus.measure_computational()
 
 
 def test_tensor_and_total_phase():

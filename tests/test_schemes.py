@@ -208,6 +208,22 @@ def test_decrypt_validation():
         decrypt(sk, Ciphertext(SchemeId.PAN10, 3, sk.m, ct.label, corrupted))
 
 
+def test_decrypt_names_a_state_left_in_the_x_basis():
+    # an extra H on the ciphertext leaves an X symbol after H_k; an extra H
+    # on an enh label qubit leaves one in the label's readout
+    rng = np.random.default_rng(42)
+    for scheme in (SchemeId.A, SchemeId.B, SchemeId.M2, SchemeId.ENH):
+        sk, (pk,) = keygen(scheme, 3, rng)
+        ct = encrypt(pk, 1, rng)
+        tampered = replace(ct, quantum=ct.quantum.apply_mask("H", 0b100))
+        with pytest.raises(ValueError, match="^quantum: state does not match this private key$"):
+            decrypt(sk, tampered)
+        if scheme == SchemeId.ENH:
+            tampered = replace(ct, label=ct.label.apply_mask("H", 1))
+            with pytest.raises(ValueError, match="^label: state does not match this private key$"):
+                decrypt(sk, tampered)
+
+
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_json_round_trip_preserves_decryption(scheme):
     rng = np.random.default_rng(42)
